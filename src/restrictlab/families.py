@@ -10,13 +10,6 @@ from .restriction import stride_box_values
 from .zmod import RingContext
 
 
-def gaussian_values(ring: RingContext, rng: np.random.Generator, count: int = 1) -> np.ndarray:
-    """(count, N, N) complex Gaussian grids."""
-    n = ring.modulus
-    shape = (count, n, n)
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
 def delta_values(ring: RingContext, x1: int, x2: int) -> np.ndarray:
     n = ring.modulus
     vals = np.zeros((n, n), dtype=np.complex128)

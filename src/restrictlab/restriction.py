@@ -32,7 +32,7 @@ from .rng import spawn_rng
 from .zmod import RingContext
 
 SATISFACTION_TOL = 1e-9
-RANK_RTOL = 1e-8  # rank cutoff: singular values <= RANK_RTOL * s_max count as zero
+RANK_RTOL = 1e-8  # absolute rank cutoff: an off-support singular value <= RANK_RTOL counts as zero
 
 
 @dataclass(frozen=True)
@@ -295,7 +295,7 @@ class UncertaintyVerdict:
     coefficients: np.ndarray | None
     method: str  # "exhaustive" or "randomized"
     supports_checked: int
-    min_margin: float  # smallest off-support singular value seen, scaled by s_max
+    min_margin: float  # smallest off-support singular value seen (absolute, not scaled)
 
 
 def extension_matrix(sigma: ParabolaSet) -> np.ndarray:
@@ -310,19 +310,106 @@ def extension_matrix(sigma: ParabolaSet) -> np.ndarray:
     return np.exp(2j * np.pi * phase / n) / n
 
 
-def _deficiency_margins(ext: np.ndarray, supports: np.ndarray) -> np.ndarray:
-    """Smallest singular value of the off-support rows, one per support row.
+def _gram_products(ext: np.ndarray) -> np.ndarray:
+    """(N^2, 2N^2) float64 view of conj(E[x, t]) * E[x, s].
 
-    Uses the Gram complement: with orthonormal columns, the off-T rows satisfy
-    (E_offT)^H E_offT = I - (E_T)^H E_T, so s_min(off) = sqrt(1 - s_max(E_T)^2)
-    and s_max(off) = 1 whenever |T| < N.
+    Row x holds the complex (N, N) outer product of row x of E with itself, so
+    for a 0/1 indicator row 1_T the product 1_T @ P is the Gram E_T^H E_T laid
+    out as N^2 complex numbers: one real GEMM builds a whole chunk of Grams.
     """
+    n2, n = ext.shape
+    return (ext.conj()[:, :, None] * ext[:, None, :]).view(np.float64).reshape(n2, 2 * n * n)
+
+
+def _gram_by_gemm(n: int, batch: int, k: int) -> bool:
+    """Whether the one-GEMM Gram build uses no more memory than the row gather.
+
+    The GEMM needs P (16 N^4 bytes) and a float64 indicator of each support
+    (8 B N^2 bytes); the gather it replaces is a (B, k, N) complex row stack
+    (16 B k N bytes).  B is the largest chunk of supports.
+    """
+    return 2 * n**4 + batch * n * n <= 2 * batch * k * n
+
+
+def _grams(ext: np.ndarray, supports: np.ndarray, products: np.ndarray | None) -> np.ndarray:
+    """(B, N, N) Grams E_T^H E_T, one per support row; gathers rows if products is None."""
+    if products is None:
+        rows = ext[supports]  # (B, k, N)
+        return np.matmul(rows.conj().transpose(0, 2, 1), rows)
+    b = supports.shape[0]
     n = ext.shape[1]
-    rows = ext[supports]  # (B, k, N)
-    gram = np.matmul(rows.conj().transpose(0, 2, 1), rows)
-    gram = np.eye(n)[None, :, :] - gram
-    ev = np.linalg.eigvalsh(gram)
-    return np.sqrt(np.clip(ev[:, 0], 0.0, None))
+    indicator = np.zeros((b, n * n))
+    np.put_along_axis(indicator, supports, 1.0, axis=1)
+    return (indicator @ products).view(np.complex128).reshape(b, n, n)
+
+
+def _margins(gram: np.ndarray) -> np.ndarray:
+    """Smallest off-support singular value, one per Gram E_T^H E_T.
+
+    With orthonormal columns the off-T rows satisfy
+    (E_offT)^H E_offT = I - (E_T)^H E_T, so s_min(off) = sqrt(1 - lambda_max).
+    """
+    return np.sqrt(np.clip(1.0 - np.linalg.eigvalsh(gram)[:, -1], 0.0, None))
+
+
+_SCREEN_PROBE = 64  # Grams solved first to set the screening level
+_SCREEN_SLACK = 1e-12  # covers rounding in the bound and in eigvalsh
+
+
+def _lambda_max_bound(gram: np.ndarray, k: int) -> np.ndarray:
+    """Wolkowicz-Styan upper bound on lambda_max of each Gram of |T| = k rows.
+
+    G = E_T^H E_T has rank at most r = min(k, N), so its r largest
+    eigenvalues carry its trace tau = k/N (exact: every row of E has squared
+    norm 1/N) and its squared Frobenius norm phi^2.  For r reals with that sum
+    and sum of squares, max <= tau/r + sqrt((r-1)/r * (phi^2 - tau^2/r))
+    (Wolkowicz and Styan, Linear Algebra Appl. 29, 1980).
+    """
+    b, n, _ = gram.shape
+    r = min(k, n)
+    tau = k / n
+    flat = gram.reshape(b, -1).view(np.float64)
+    phi2 = np.einsum("ij,ij->i", flat, flat)
+    return tau / r + np.sqrt(np.clip((r - 1) / r * (phi2 - tau * tau / r), 0.0, None))
+
+
+def _min_margin(gram: np.ndarray, k: int) -> float:
+    """min(_margins(gram)), solving only the Grams whose bound can reach the minimum.
+
+    The Grams with the largest bounds are solved first; their largest
+    lambda_max L is a lower bound on the chunk's, so a Gram whose bound is
+    below L cannot hold it.  The survivors go through the same eigvalsh, so
+    the result is the unscreened minimum, not an estimate.
+    """
+    if gram.shape[0] > _SCREEN_PROBE:
+        bound = _lambda_max_bound(gram, k)
+        probe = np.argpartition(bound, -_SCREEN_PROBE)[-_SCREEN_PROBE:]
+        level = np.linalg.eigvalsh(gram[probe])[:, -1].max()
+        keep = bound + _SCREEN_SLACK >= level
+        if not keep.all():
+            gram = gram[keep]
+    return float(_margins(gram).min())
+
+
+def _scan_chunk(
+    ext: np.ndarray, supports: np.ndarray, products: np.ndarray | None
+) -> tuple[float, np.ndarray | None, np.ndarray | None]:
+    """(min margin, witness support, witness coefficients) over one chunk of supports.
+
+    The witness is the first support whose margin is <= RANK_RTOL, as sorted
+    flat cell indices, with a unit coefficient vector whose extension vanishes
+    off it; both are None when the chunk has no such support.
+    """
+    gram = _grams(ext, supports, products)
+    margin = _min_margin(gram, supports.shape[1])
+    if margin > RANK_RTOL:
+        return margin, None, None
+    first = int(np.flatnonzero(_margins(gram) <= RANK_RTOL)[0])
+    t_flat = np.sort(supports[first])
+    off = np.setdiff1d(np.arange(ext.shape[0]), t_flat, assume_unique=True)
+    # With fewer off rows than columns the null vectors are only in the full V^H.
+    _, _, vh = np.linalg.svd(ext[off], full_matrices=off.size < ext.shape[1])
+    return margin, t_flat, vh[-1].conj()
 
 
 def _random_supports(rng: np.random.Generator, count: int, universe: int, k: int) -> np.ndarray:
@@ -342,11 +429,19 @@ def uncertainty_search(
     """Look for a nonzero signal with spectrum on the parabola and small support.
 
     A support T admits one iff the rows of the extension matrix off T have rank
-    below N (singular values under RANK_RTOL times the largest count as zero).
+    below N (a smallest singular value at most RANK_RTOL counts as zero).
     Rank deficiency is monotone in T, so scanning supports of size exactly
     max_support covers every smaller support as well.  All sizes inside the
     forbidden zone max_support < N^2 / 2^omega must come back empty; the zone
     boundary itself is rejected because the search would be vacuous.
+
+    The exhaustive path (when C(N^2, max_support) <= exhaustive_cap) scans
+    only the supports that contain cell (0, 0).  Translating T by a multiplies
+    the rows of E by a diagonal unitary, E_{(T+a)^c} = E_{T^c} D_a, so T and
+    T + a have the same off-support singular values, and every T has a
+    translate through (0, 0).  supports_checked counts the supports decided:
+    C(N^2, max_support) when nothing is found; on a find it counts only the
+    representatives scanned so far.
     """
     ring = sigma.ring
     if not ring.squarefree:
@@ -361,10 +456,13 @@ def uncertainty_search(
     ext = extension_matrix(sigma)
     total = math.comb(universe, max_support)
     exhaustive = total <= exhaustive_cap
+    method = "exhaustive" if exhaustive else "randomized"
+    scanned = math.comb(universe - 1, max_support - 1) if exhaustive else samples
+    products = _gram_products(ext) if _gram_by_gemm(n, min(batch, scanned), max_support) else None
 
     def chunks() -> Iterator[np.ndarray]:
         if exhaustive:
-            it = itertools.combinations(range(universe), max_support)
+            it = ((0,) + c for c in itertools.combinations(range(1, universe), max_support - 1))
             while True:
                 block = list(itertools.islice(it, batch))
                 if not block:
@@ -381,25 +479,17 @@ def uncertainty_search(
     checked = 0
     min_margin = math.inf
     for supports in chunks():
-        margins = _deficiency_margins(ext, supports)
+        margin, t_flat, coeff = _scan_chunk(ext, supports, products)
         checked += supports.shape[0]
-        worst = float(margins.min())
-        if worst < min_margin:
-            min_margin = worst
-        hit = np.where(margins <= RANK_RTOL)[0]
-        if hit.size:
-            t_flat = np.sort(supports[int(hit[0])])
-            off = np.setdiff1d(np.arange(universe), t_flat, assume_unique=True)
-            _, sing, vh = np.linalg.svd(ext[off], full_matrices=False)
-            coeff = vh[-1].conj()
-            support_pts = tuple((int(i) // n, int(i) % n) for i in t_flat)
+        min_margin = min(min_margin, margin)
+        if t_flat is not None:
             return UncertaintyVerdict(
                 n=n,
                 max_support=max_support,
                 found=True,
-                support=support_pts,
+                support=tuple((int(i) // n, int(i) % n) for i in t_flat),
                 coefficients=coeff,
-                method="exhaustive" if exhaustive else "randomized",
+                method=method,
                 supports_checked=checked,
                 min_margin=min_margin,
             )
@@ -409,8 +499,8 @@ def uncertainty_search(
         found=False,
         support=None,
         coefficients=None,
-        method="exhaustive" if exhaustive else "randomized",
-        supports_checked=checked,
+        method=method,
+        supports_checked=total if exhaustive else checked,
         min_margin=min_margin,
     )
 

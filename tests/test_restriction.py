@@ -9,6 +9,7 @@ from restrictlab.families import structured_coefficients, structured_values
 from restrictlab.fourier import Signal2D, dft
 from restrictlab.parabola import build_parabola, extend_from
 from restrictlab.restriction import (
+    RANK_RTOL,
     RestrictionParams,
     certified_constant,
     dual_ratios,
@@ -24,6 +25,15 @@ from restrictlab.restriction import (
     verify_l1_l2,
     verify_main_theorem,
     verify_restriction,
+)
+from restrictlab.restriction import (
+    _gram_by_gemm,
+    _gram_products,
+    _grams,
+    _margins,
+    _min_margin,
+    _random_supports,
+    _scan_chunk,
 )
 from restrictlab.rng import spawn_rng
 from restrictlab.zmod import make_ring
@@ -256,6 +266,85 @@ def test_uncertainty_determinism():
     b = uncertainty_search(sigma, 7, samples=2000, exhaustive_cap=10, seed=9)
     assert a.min_margin == b.min_margin
     assert a.supports_checked == b.supports_checked
+
+
+def test_uncertainty_exhaustive_matches_full_scan_golden():
+    # Translation-normalized scan of the 6,545 supports through (0, 0); the
+    # count and the margin are those of the full 58,905-support scan.
+    verdict = uncertainty_search(build_parabola(make_ring(6)), 4)
+    assert verdict.method == "exhaustive"
+    assert not verdict.found
+    assert verdict.supports_checked == 58905
+    assert math.isclose(verdict.min_margin, 0.688633848236, rel_tol=1e-9)
+
+
+def _support_batch(n, k, count, seed):
+    return _random_supports(np.random.default_rng(seed), count, n * n, k)
+
+
+@pytest.mark.parametrize("n", [3, 6, 10, 15])
+def test_screened_min_margin_is_the_unscreened_minimum(n):
+    ext = extension_matrix(build_parabola(make_ring(n)))
+    products = _gram_products(ext)
+    for k in (n - 1, n, min(n + 3, n * n - 1)):
+        supports = _support_batch(n, k, 500, seed=10 * n + k)
+        gathered = _grams(ext, supports, None)
+        gemm = _grams(ext, supports, products)
+        assert np.allclose(gemm, gathered, atol=1e-14)
+        for gram in (gathered, gemm):
+            assert _min_margin(gram, k) == _margins(gram).min()
+
+
+def test_margins_match_direct_svd():
+    for n in (6, 10, 15):
+        ext = extension_matrix(build_parabola(make_ring(n)))
+        for k in (2, n - 1, n + 2):
+            supports = _support_batch(n, k, 40, seed=n * k)
+            margins = _margins(_grams(ext, supports, None))
+            for t, margin in zip(supports, margins):
+                off = np.setdiff1d(np.arange(n * n), t)
+                s_min = np.linalg.svd(ext[off], compute_uv=False)[-1]
+                assert math.isclose(margin, s_min, rel_tol=1e-10)
+
+
+def test_margin_is_translation_invariant():
+    rng = np.random.default_rng(3)
+    for n in (6, 10, 15):
+        ext = extension_matrix(build_parabola(make_ring(n)))
+        for k in (3, n, n + 5):
+            t = _support_batch(n, k, 20, seed=n + k)
+            a1, a2 = rng.integers(0, n, size=(2, 20, 1))
+            shifted = ((t // n + a1) % n) * n + (t % n + a2) % n
+            both = _margins(_grams(ext, np.concatenate([t, shifted]), None))
+            assert np.allclose(both[:20], both[20:], rtol=0, atol=1e-12)
+
+
+def test_gram_by_gemm_choice():
+    assert _gram_by_gemm(6, 6545, 4)  # N=6 exhaustive at size 4
+    assert _gram_by_gemm(6, 50_000, 8)
+    assert _gram_by_gemm(15, 5_000, 56)
+    assert not _gram_by_gemm(105, 100, 5)  # P alone would be 1.9 GB
+    assert not _gram_by_gemm(15, 500, 4)  # indicator wider than the row stack
+    for n in (2, 3, 6, 15, 35, 105):
+        for b in (1, 64, 5_000, 100_000):
+            for k in (1, 4, n, n * n // 4):
+                if _gram_by_gemm(n, b, k):
+                    assert n**3 <= b * k  # P is no larger than the gather
+
+
+@pytest.mark.parametrize("n", [6, 10])
+def test_scan_chunk_returns_witness_for_deficient_support(n):
+    # Outside the zone: fewer than N off-support rows, so rank < N.
+    ext = extension_matrix(build_parabola(make_ring(n)))
+    for off_count in (1, 2):
+        supports = _support_batch(n, n * n - off_count, 3, seed=n + off_count)
+        for products in (None, _gram_products(ext)):
+            margin, t_flat, coeff = _scan_chunk(ext, supports, products)
+            assert margin <= RANK_RTOL
+            assert np.array_equal(t_flat, np.sort(supports[0]))
+            off = np.setdiff1d(np.arange(n * n), t_flat)
+            assert math.isclose(np.linalg.norm(coeff), 1.0, rel_tol=1e-12)
+            assert np.linalg.norm(ext[off] @ coeff) < 1e-10
 
 
 def test_probe_prime_square_growth():
