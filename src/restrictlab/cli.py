@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
 import sys
 import time
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from typing import Any
 
 import numpy as np
@@ -23,11 +24,12 @@ import numpy as np
 from . import __version__
 from .families import structured_coefficients, structured_values
 from .fourier import Signal2D, grid_to_json_dict, signal_from_json_dict
-from .parabola import build_parabola, decay_profile, energy_exact
+from .parabola import ParabolaSet, build_parabola, decay_profile, energy_exact
 from .recovery import LoganParams, erase, logan_recover, random_instance, threshold_sweep
 from .restriction import (
     SATISFACTION_TOL,
     RestrictionParams,
+    RestrictionReport,
     sharpness_probe,
     uncertainty_search,
     universal_certificate,
@@ -50,18 +52,9 @@ CERTIFICATE_COLUMNS = ("N", "omega", "lambda_size", "lambda_energy", "implied_co
 
 UNCERTAINTY_COLUMNS = ("N", "omega", "max_support", "method", "supports_checked", "found", "min_margin")
 
-RECOVER_COLUMNS = (
-    "N",
-    "S_size",
-    "E_size",
-    "iterations",
-    "residual",
-    "final_objective",
-    "exact",
-    "status",
-    "ds_threshold",
-    "improved_threshold",
-)
+SOLVER_COLUMNS = ("iterations", "residual", "final_objective", "exact", "status")
+
+RECOVER_COLUMNS = ("N", "S_size", "E_size", *SOLVER_COLUMNS, "ds_threshold", "improved_threshold")
 
 SWEEP_COLUMNS = (
     "N",
@@ -101,11 +94,8 @@ def _parse_int_tokens(tokens: Sequence[str], what: str) -> list[int]:
 
 
 def _resolve_moduli(args: argparse.Namespace) -> list[RingContext]:
-    values = _parse_int_tokens(args.moduli, "modulus")
-    if not values:
-        raise UsageError("no moduli given")
     rings = []
-    for n in values:
+    for n in _parse_int_tokens(args.moduli, "modulus"):
         if n < 2:
             raise UsageError(f"modulus must be >= 2, got {n}")
         rings.append(make_ring(n))
@@ -113,12 +103,9 @@ def _resolve_moduli(args: argparse.Namespace) -> list[RingContext]:
         rings = [ring for ring in rings if ring.squarefree]
         if not rings:
             raise UsageError("no squarefree moduli left after filtering")
-    if args.command in GATED_COMMANDS:
-        for ring in rings:
-            if not ring.squarefree:
-                raise UsageError(
-                    f"{args.command} requires squarefree moduli, got {ring.modulus}"
-                )
+    square_factor = [ring.modulus for ring in rings if not ring.squarefree]
+    if args.command in GATED_COMMANDS and square_factor:
+        raise UsageError(f"{args.command} requires squarefree moduli, got {square_factor[0]}")
     return rings
 
 
@@ -147,231 +134,154 @@ def _fmt_cell(value: Any) -> str:
     return str(value)
 
 
-def _write_report(
-    args: argparse.Namespace,
-    columns: Sequence[str],
-    rows: Sequence[Sequence[Any]],
-    started: float,
-    extra_json: dict | None = None,
-) -> None:
-    """Emit rows to --output (or stdout) in the selected format."""
+def _json_cell(value: Any) -> Any:
+    return value.item() if isinstance(value, np.generic) else value
+
+
+def _render(
+    args: argparse.Namespace, columns: Sequence[str], rows: list | dict, started: float
+) -> str:
+    """The report text in the selected format.
+
+    rows is a list of rows, except for recover --format json, where it is the
+    recovered-signal document that takes the place of columns and rows.
+    """
+    seed = getattr(args, "seed", None)
     if args.format == "json":
-        doc: dict[str, Any] = {
-            "command": args.command,
-            "version": __version__,
-            "seed": getattr(args, "seed", None),
-            "columns": list(columns),
-            "rows": [[_json_cell(v) for v in row] for row in rows],
-        }
-        if extra_json:
-            doc.update(extra_json)
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-        _write_text(args.output, text)
-        return
-    lines: list[str] = []
-    buf = _CsvBuffer(lines)
+        doc: dict[str, Any] = {"command": args.command, "version": __version__, "seed": seed}
+        if isinstance(rows, dict):
+            doc.update(rows)
+        else:
+            doc["columns"] = list(columns)
+            doc["rows"] = [[_json_cell(v) for v in row] for row in rows]
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt_cell(v) for v in row])
+    writer.writerows([_fmt_cell(v) for v in row] for row in rows)
     walltime = time.perf_counter() - started
-    seed = getattr(args, "seed", None)
     seed_text = "" if seed is None else str(seed)
-    lines.append(f"# seed={seed_text} version={__version__} walltime_s={walltime:.3f}\n")
-    _write_text(args.output, "".join(lines))
-
-
-class _CsvBuffer:
-    """File-like shim collecting csv.writer output into a list of strings."""
-
-    def __init__(self, lines: list[str]) -> None:
-        self.lines = lines
-
-    def write(self, text: str) -> None:
-        self.lines.append(text)
-
-
-def _json_cell(value: Any) -> Any:
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    return value
+    buf.write(f"# seed={seed_text} version={__version__} walltime_s={walltime:.3f}\n")
+    return buf.getvalue()
 
 
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from None
 
 
-def _report_rows_from_reports(reports: Iterable) -> list[list[Any]]:
-    rows = []
-    for rep in reports:
-        rows.append(
-            [
-                rep.n,
-                rep.omega,
-                rep.squarefree,
-                rep.r,
-                rep.lhs,
-                rep.rhs,
-                rep.ratio,
-                rep.constant,
-                rep.satisfied,
-                rep.witness_kind,
-            ]
-        )
-    return rows
+def _fields(obj: Any, columns: Sequence[str]) -> list[Any]:
+    """obj's attributes named by the columns, lower-cased (column N is field n)."""
+    return [getattr(obj, column.lower()) for column in columns]
 
 
-def _cmd_energy(args: argparse.Namespace, rings: list[RingContext], started: float) -> int:
+Report = tuple[Sequence[str], Any, bool]  # (columns, rows, violated)
+
+
+def _cmd_energy(args: argparse.Namespace, rings: list[RingContext]) -> Report:
     rows = []
     violated = False
     for ring in rings:
         report = energy_exact(build_parabola(ring))
-        rows.append(
-            [ring.modulus, ring.omega, report.subset_size, report.energy, report.bound, report.max_rep]
-        )
-        if ring.squarefree and report.energy > report.bound:
-            violated = True
-    _write_report(args, ENERGY_COLUMNS, rows, started)
-    return 1 if violated else 0
+        rows.append([ring.modulus, ring.omega] + _fields(report, ENERGY_COLUMNS[2:]))
+        violated = violated or (ring.squarefree and report.energy > report.bound)
+    return ENERGY_COLUMNS, rows, violated
 
 
-def _cmd_decay(args: argparse.Namespace, rings: list[RingContext], started: float) -> int:
+def _cmd_decay(args: argparse.Namespace, rings: list[RingContext]) -> Report:
     rows = []
     for ring in rings:
         profile = decay_profile(build_parabola(ring))
-        m1, m2 = profile.witness
         rows.append(
-            [ring.modulus, ring.omega, ring.squarefree, profile.max_magnitude, profile.max_ratio, m1, m2]
+            [ring.modulus, ring.omega, ring.squarefree, profile.max_magnitude, profile.max_ratio]
+            + list(profile.witness)
         )
-    _write_report(args, DECAY_COLUMNS, rows, started)
-    return 0
+    return DECAY_COLUMNS, rows, False
 
 
-def _cmd_restrict_verify(args: argparse.Namespace, rings: list[RingContext], started: float) -> int:
-    if args.trials < 0:
-        raise UsageError("trials must be >= 0")
-    rows: list[list[Any]] = []
-    violated = False
-    r = args.r
-    for ring in rings:
-        sigma = build_parabola(ring)
-        rng = spawn_rng(args.seed, ring.modulus)
-        for label, values in structured_values(ring, args.trials, rng):
-            f = Signal2D(ring, values)
-            if r == 4.0 / 3.0:
-                report = verify_main_theorem(f, sigma, witness_kind=label)
-            else:
-                params = RestrictionParams(s=2.0, r=r, constant=None)
-                report = verify_restriction(f, sigma, params, witness_kind=label)
-            rows.append(_report_rows_from_reports([report])[0])
-            if not report.satisfied:
-                violated = True
-    _write_report(args, VERIFY_COLUMNS, rows, started)
-    return 1 if violated else 0
-
-
-def _cmd_dual_verify(args: argparse.Namespace, rings: list[RingContext], started: float) -> int:
-    if args.trials < 0:
-        raise UsageError("trials must be >= 0")
-    rows: list[list[Any]] = []
+def _verify_reports(args: argparse.Namespace, rings: list[RingContext], family, check) -> Report:
+    """One row per labeled member of family(ring, trials, rng), scored by check."""
+    rows = []
     violated = False
     for ring in rings:
         sigma = build_parabola(ring)
-        rng = spawn_rng(args.seed, ring.modulus)
-        for label, coeffs in structured_coefficients(ring, args.trials, rng):
-            report = verify_dual(coeffs, sigma, witness_kind=label)
-            rows.append(_report_rows_from_reports([report])[0])
-            if not report.satisfied:
-                violated = True
-    _write_report(args, VERIFY_COLUMNS, rows, started)
-    return 1 if violated else 0
+        for label, member in family(ring, args.trials, spawn_rng(args.seed, ring.modulus)):
+            report = check(member, sigma, witness_kind=label)
+            rows.append(_fields(report, VERIFY_COLUMNS))
+            violated = violated or not report.satisfied
+    return VERIFY_COLUMNS, rows, violated
 
 
-def _cmd_certificate(args: argparse.Namespace, rings: list[RingContext], started: float) -> int:
+def _cmd_restrict_verify(args: argparse.Namespace, rings: list[RingContext]) -> Report:
+    params = None if args.r == "4/3" else RestrictionParams(s=2.0, r=6.0 / 5.0, constant=None)
+
+    def check(values: np.ndarray, sigma: ParabolaSet, witness_kind: str) -> RestrictionReport:
+        f = Signal2D(sigma.ring, values)
+        if params is None:
+            return verify_main_theorem(f, sigma, witness_kind=witness_kind)
+        return verify_restriction(f, sigma, params, witness_kind=witness_kind)
+
+    return _verify_reports(args, rings, structured_values, check)
+
+
+def _cmd_dual_verify(args: argparse.Namespace, rings: list[RingContext]) -> Report:
+    return _verify_reports(args, rings, structured_coefficients, verify_dual)
+
+
+def _cmd_certificate(args: argparse.Namespace, rings: list[RingContext]) -> Report:
     rows = []
     violated = False
     for ring in rings:
         cert = universal_certificate(build_parabola(ring))
         ok = cert.implied_constant <= cert.certified_constant + SATISFACTION_TOL
-        rows.append(
-            [
-                cert.n,
-                cert.omega,
-                cert.lambda_size,
-                cert.lambda_energy,
-                cert.implied_constant,
-                cert.certified_constant,
-                ok,
-            ]
-        )
-        if not ok:
-            violated = True
-    _write_report(args, CERTIFICATE_COLUMNS, rows, started)
-    return 1 if violated else 0
+        rows.append(_fields(cert, CERTIFICATE_COLUMNS[:-1]) + [ok])
+        violated = violated or not ok
+    return CERTIFICATE_COLUMNS, rows, violated
 
 
-def _cmd_uncertainty(args: argparse.Namespace, rings: list[RingContext], started: float) -> int:
+def _cmd_uncertainty(args: argparse.Namespace, rings: list[RingContext]) -> Report:
     rows = []
     found_any = False
     for ring in rings:
         zone = ring.modulus**2 / 2**ring.omega
-        max_support = args.max_support
-        if max_support is None:
-            max_support = math.ceil(zone) - 1
+        max_support = math.ceil(zone) - 1 if args.max_support is None else args.max_support
         if max_support < 1:
             raise UsageError(f"forbidden zone for N={ring.modulus} is empty")
         verdict = uncertainty_search(
             build_parabola(ring), max_support, samples=args.trials, seed=args.seed
         )
-        rows.append(
-            [
-                verdict.n,
-                ring.omega,
-                verdict.max_support,
-                verdict.method,
-                verdict.supports_checked,
-                verdict.found,
-                verdict.min_margin,
-            ]
-        )
-        if verdict.found:
-            found_any = True
-    _write_report(args, UNCERTAINTY_COLUMNS, rows, started)
-    return 1 if found_any else 0
+        rows.append([verdict.n, ring.omega] + _fields(verdict, UNCERTAINTY_COLUMNS[2:]))
+        found_any = found_any or verdict.found
+    return UNCERTAINTY_COLUMNS, rows, found_any
 
 
-def _cmd_sharpness(args: argparse.Namespace, rings: list[RingContext], started: float) -> int:
-    if args.trials < 0:
-        raise UsageError("trials must be >= 0")
-    rows: list[list[Any]] = []
+def _cmd_sharpness(args: argparse.Namespace, rings: list[RingContext]) -> Report:
+    rows = []
     for ring in rings:
         probe = sharpness_probe(ring, trials=args.trials, seed=args.seed)
         for r in (4.0 / 3.0, 6.0 / 5.0):
             scored = [rep for rep in probe.reports if rep.r == r]
             best = max(scored, key=lambda rep: rep.ratio)
-            rows.append(_report_rows_from_reports([best])[0])
-    _write_report(args, VERIFY_COLUMNS, rows, started)
-    return 0
+            rows.append(_fields(best, VERIFY_COLUMNS))
+    return VERIFY_COLUMNS, rows, False
 
 
-def _cmd_recover(args: argparse.Namespace, rings: list[RingContext], started: float) -> int:
+def _cmd_recover(args: argparse.Namespace, rings: list[RingContext]) -> Report:
     if len(rings) != 1:
         raise UsageError("recover takes exactly one modulus")
     ring = rings[0]
-    params = LoganParams(max_iterations=args.max_iterations)
     if args.input is not None:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
         try:
-            truth = signal_from_json_dict(data)
+            with open(args.input, "r", encoding="utf-8") as fh:
+                truth = signal_from_json_dict(json.load(fh))
+        except OSError as exc:
+            raise UsageError(f"cannot read {args.input}: {exc}") from None
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"bad signal file {args.input}: {exc}") from None
         if truth.ring.modulus != ring.modulus:
@@ -387,52 +297,23 @@ def _cmd_recover(args: argparse.Namespace, rings: list[RingContext], started: fl
         e_size = sizes[0]
         rng = spawn_rng(args.seed, e_size, 0)
         problem = random_instance(ring, e_size, rng, unimodular=args.worst_case)
-    result = logan_recover(problem, params)
+    result = logan_recover(problem, LoganParams(max_iterations=args.max_iterations))
     n = ring.modulus
     s_size = int(problem.unobserved.sum())
     ds = n * n / (2.0 * s_size)
-    improved = n * n / (4.0 * 2**ring.omega)
-    guarantee_broken = e_size is not None and e_size < ds and result.exact is not True
+    violated = e_size is not None and e_size < ds and result.exact is not True
+    solver = dict(zip(SOLVER_COLUMNS, _fields(result, SOLVER_COLUMNS)))
     if args.format == "json":
-        missing = np.argwhere(problem.unobserved)
         doc = grid_to_json_dict(result.recovered)
-        doc.update(
-            {
-                "command": args.command,
-                "version": __version__,
-                "seed": args.seed,
-                "missing": [[int(a), int(b)] for a, b in missing],
-                "iterations": result.iterations,
-                "residual": result.residual,
-                "final_objective": result.final_objective,
-                "exact": result.exact,
-                "status": result.status,
-            }
-        )
-        _write_text(args.output, json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    else:
-        row = [
-            n,
-            s_size,
-            e_size if e_size is not None else "",
-            result.iterations,
-            result.residual,
-            result.final_objective,
-            result.exact,
-            result.status,
-            ds,
-            improved,
-        ]
-        _write_report(args, RECOVER_COLUMNS, [row], started)
-    return 1 if guarantee_broken else 0
+        doc["missing"] = [[int(a), int(b)] for a, b in np.argwhere(problem.unobserved)]
+        doc.update(solver)
+        return RECOVER_COLUMNS, doc, violated
+    improved = n * n / (4.0 * 2**ring.omega)
+    return RECOVER_COLUMNS, [[n, s_size, e_size, *solver.values(), ds, improved]], violated
 
 
-def _cmd_sweep(args: argparse.Namespace, rings: list[RingContext], started: float) -> int:
-    if args.trials < 0:
-        raise UsageError("trials must be >= 0")
-    sizes = _parse_int_tokens(args.sizes, "size") if args.sizes else []
-    if not sizes:
-        raise UsageError("sweep needs --sizes (a list or a..b range)")
+def _cmd_sweep(args: argparse.Namespace, rings: list[RingContext]) -> Report:
+    sizes = _parse_int_tokens(args.sizes, "size")
     threads = _thread_count()
     params = LoganParams(max_iterations=args.max_iterations)
     rows = []
@@ -448,71 +329,42 @@ def _cmd_sweep(args: argparse.Namespace, rings: list[RingContext], started: floa
             params=params,
             threads=threads,
         ):
-            rows.append(
-                [
-                    sweep_row.n,
-                    sweep_row.s_size,
-                    sweep_row.e_size,
-                    sweep_row.trials,
-                    sweep_row.exact_rate,
-                    sweep_row.mean_iterations,
-                    sweep_row.ds_threshold,
-                    sweep_row.improved_threshold,
-                ]
-            )
-            if sweep_row.e_size < sweep_row.ds_threshold and sweep_row.exact_rate < 1.0:
-                violated = True
-    _write_report(args, SWEEP_COLUMNS, rows, started)
-    return 1 if violated else 0
+            rows.append(_fields(sweep_row, SWEEP_COLUMNS))
+            below_line = sweep_row.e_size < sweep_row.ds_threshold
+            violated = violated or (below_line and sweep_row.exact_rate < 1.0)
+    return SWEEP_COLUMNS, rows, violated
 
 
-def _load_csv_report(path: str) -> tuple[list[str], list[dict[str, str]]]:
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            raw = [line for line in fh if not line.startswith("#")]
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from None
-    reader = csv.reader(raw)
-    table = list(reader)
-    if not table:
-        raise UsageError(f"{path} has no header row")
-    header = table[0]
-    rows = [dict(zip(header, row)) for row in table[1:]]
-    return header, rows
-
-
-def _cmd_summarize(args: argparse.Namespace, started: float) -> int:
+def _cmd_summarize(args: argparse.Namespace, rings: list[RingContext]) -> Report:
     """Aggregate verify-style CSVs: one row per modulus with the worst ratio."""
     header: list[str] | None = None
-    all_rows: list[dict[str, str]] = []
-    for path in args.reports:
-        file_header, rows = _load_csv_report(path)
-        for needed in ("N", "ratio", "satisfied"):
-            if needed not in file_header:
-                raise UsageError(f"{path} lacks required column {needed!r}")
-        if header is None:
-            header = file_header
-        elif file_header != header:
-            raise UsageError(f"{path} header does not match the first report file")
-        all_rows.extend(rows)
     by_n: dict[int, list[dict[str, str]]] = {}
-    for row in all_rows:
+    for path in args.reports:
         try:
-            n = int(row["N"])
-        except (KeyError, ValueError):
-            raise UsageError("malformed data row (bad N)") from None
-        by_n.setdefault(n, []).append(row)
-    out_rows = []
-    violated = False
-    for n in sorted(by_n):
-        group = by_n[n]
-        ratios = [float(row["ratio"]) for row in group]
+            with open(path, "r", encoding="utf-8", newline="") as fh:
+                table = list(csv.reader(line for line in fh if not line.startswith("#")))
+        except OSError as exc:
+            raise UsageError(f"cannot read {path}: {exc}") from None
+        if not table:
+            raise UsageError(f"{path} has no header row")
+        for needed in ("N", "ratio", "satisfied"):
+            if needed not in table[0]:
+                raise UsageError(f"{path} lacks required column {needed!r}")
+        if header is not None and table[0] != header:
+            raise UsageError(f"{path} header does not match the first report file")
+        header = table[0]
+        for cells in table[1:]:
+            row = dict(zip(header, cells))
+            try:
+                n = int(row["N"])
+            except (KeyError, ValueError):
+                raise UsageError("malformed data row (bad N)") from None
+            by_n.setdefault(n, []).append(row)
+    rows = []
+    for n, group in sorted(by_n.items()):
         ok = all(row["satisfied"] == "true" for row in group)
-        out_rows.append([n, len(group), max(ratios), ok])
-        if not ok:
-            violated = True
-    _write_report(args, SUMMARY_COLUMNS, out_rows, started)
-    return 1 if violated else 0
+        rows.append([n, len(group), max(float(row["ratio"]) for row in group), ok])
+    return SUMMARY_COLUMNS, rows, not all(ok for *_, ok in rows)
 
 
 def _add_common_flags(sub: argparse.ArgumentParser, *, moduli: bool = True) -> None:
@@ -536,6 +388,20 @@ def _add_common_flags(sub: argparse.ArgumentParser, *, moduli: bool = True) -> N
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+COMMANDS = {  # name: (report builder, help)
+    "energy": (_cmd_energy, "additive energy of the parabola"),
+    "decay": (_cmd_decay, "exponential sum magnitudes over the frequency grid"),
+    "restrict-verify": (_cmd_restrict_verify, "check the restriction estimate on test signals"),
+    "dual-verify": (_cmd_dual_verify, "check the extension L4 bound on coefficient vectors"),
+    "certificate": (_cmd_certificate, "size and energy certificates per modulus"),
+    "uncertainty": (_cmd_uncertainty, "search the forbidden support zone for witnesses"),
+    "sharpness": (_cmd_sharpness, "hunt for extremizers of the restriction ratio"),
+    "recover": (_cmd_recover, "reconstruct one signal from off-parabola spectrum"),
+    "sweep": (_cmd_sweep, "exact-recovery rate by support size"),
+    "summarize": (_cmd_summarize, "aggregate verify-style reports, flag violations"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="restrictlab",
@@ -543,15 +409,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True)
+    parsers = {}
+    for name, (_, help_text) in COMMANDS.items():
+        parsers[name] = subparsers.add_parser(name, help=help_text)
+        _add_common_flags(parsers[name], moduli=name != "summarize")
 
-    sub = subparsers.add_parser("energy", help="additive energy of the parabola")
-    _add_common_flags(sub)
-
-    sub = subparsers.add_parser("decay", help="exponential sum magnitudes over the frequency grid")
-    _add_common_flags(sub)
-
-    sub = subparsers.add_parser("restrict-verify", help="check the restriction estimate on test signals")
-    _add_common_flags(sub)
+    sub = parsers["restrict-verify"]
     sub.add_argument("--trials", type=int, default=100, help="test signals per modulus")
     sub.add_argument(
         "--r",
@@ -560,40 +423,29 @@ def build_parser() -> argparse.ArgumentParser:
         help="right-hand exponent (certified constant applies at 4/3)",
     )
 
-    sub = subparsers.add_parser("dual-verify", help="check the extension L4 bound on coefficient vectors")
-    _add_common_flags(sub)
+    sub = parsers["dual-verify"]
     sub.add_argument("--trials", type=int, default=100, help="coefficient vectors per modulus")
 
-    sub = subparsers.add_parser("certificate", help="size and energy certificates per modulus")
-    _add_common_flags(sub)
-
-    sub = subparsers.add_parser("uncertainty", help="search the forbidden support zone for witnesses")
-    _add_common_flags(sub)
+    sub = parsers["uncertainty"]
     sub.add_argument("--max-support", type=int, default=None, help="largest support size to scan")
     sub.add_argument("--trials", type=int, default=100_000, help="random supports when exhaustion is too big")
 
-    sub = subparsers.add_parser("sharpness", help="hunt for extremizers of the restriction ratio")
-    _add_common_flags(sub)
+    sub = parsers["sharpness"]
     sub.add_argument("--trials", type=int, default=200, help="random candidates per modulus")
 
-    sub = subparsers.add_parser("recover", help="reconstruct one signal from off-parabola spectrum")
-    _add_common_flags(sub)
+    sub = parsers["recover"]
     sub.add_argument("--sizes", nargs="+", default=None, metavar="K", help="support size of the random instance")
     sub.add_argument("--input", default=None, help="JSON signal file to erase and recover")
-    sub.add_argument("--worst-case", action="store_true", help="unimodular amplitudes")
-    sub.add_argument("--max-iterations", type=int, default=20000)
 
-    sub = subparsers.add_parser("sweep", help="exact-recovery rate by support size")
-    _add_common_flags(sub)
+    sub = parsers["sweep"]
     sub.add_argument("--sizes", nargs="+", required=True, metavar="K", help="support sizes: integers and a..b")
     sub.add_argument("--trials", type=int, default=100, help="instances per size")
-    sub.add_argument("--worst-case", action="store_true", help="unimodular amplitudes")
-    sub.add_argument("--max-iterations", type=int, default=20000)
 
-    sub = subparsers.add_parser("summarize", help="aggregate verify-style reports, flag violations")
-    sub.add_argument("reports", nargs="*", help="CSV report files")
-    _add_common_flags(sub, moduli=False)
+    for sub in (parsers["recover"], parsers["sweep"]):
+        sub.add_argument("--worst-case", action="store_true", help="unimodular amplitudes")
+        sub.add_argument("--max-iterations", type=int, default=20000)
 
+    parsers["summarize"].add_argument("reports", nargs="*", help="CSV report files")
     return parser
 
 
@@ -606,37 +458,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(code) if isinstance(code, int) else 0 if code is None else 2
     started = time.perf_counter()
     try:
-        if getattr(args, "seed", 0) < 0:
+        if args.seed < 0:
             raise UsageError("seed must be >= 0")
-        if args.command == "summarize":
-            return _cmd_summarize(args, started)
-        rings = _resolve_moduli(args)
-        if args.command == "energy":
-            return _cmd_energy(args, rings, started)
-        if args.command == "decay":
-            return _cmd_decay(args, rings, started)
-        if args.command == "restrict-verify":
-            args.r = 4.0 / 3.0 if args.r == "4/3" else 6.0 / 5.0
-            return _cmd_restrict_verify(args, rings, started)
-        if args.command == "dual-verify":
-            return _cmd_dual_verify(args, rings, started)
-        if args.command == "certificate":
-            return _cmd_certificate(args, rings, started)
-        if args.command == "uncertainty":
-            return _cmd_uncertainty(args, rings, started)
-        if args.command == "sharpness":
-            return _cmd_sharpness(args, rings, started)
-        if args.command == "recover":
-            return _cmd_recover(args, rings, started)
-        if args.command == "sweep":
-            return _cmd_sweep(args, rings, started)
-        raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
+        if getattr(args, "trials", 0) < 0:
+            raise UsageError("trials must be >= 0")
+        rings = [] if args.command == "summarize" else _resolve_moduli(args)
+        columns, rows, violated = COMMANDS[args.command][0](args, rings)
+        _write_text(args.output, _render(args, columns, rows, started))
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return 1 if violated else 0
 
 
 if __name__ == "__main__":

@@ -6,7 +6,6 @@ from typing import Iterator
 
 import numpy as np
 
-from .restriction import stride_box_values
 from .zmod import RingContext
 
 
@@ -32,6 +31,14 @@ def box_values(ring: RingContext, a: int, b: int, w: int, h: int) -> np.ndarray:
     rows = (a + np.arange(w)) % n
     cols = (b + np.arange(h)) % n
     vals[np.ix_(rows, cols)] = 1.0
+    return vals
+
+
+def stride_box_values(ring: RingContext, d1: int, d2: int, a: int, b: int) -> np.ndarray:
+    """Indicator of {a + d1*i} x {b + d2*j} as a value grid."""
+    n = ring.modulus
+    vals = np.zeros((n, n), dtype=np.complex128)
+    vals[a % d1 :: d1, :][:, b % d2 :: d2] = 1.0
     return vals
 
 
@@ -111,15 +118,13 @@ def structured_coefficients(
             yield "constant_coeff", np.ones(n, dtype=np.complex128)
         elif kind == 2:
             yield "unimodular_coeff", np.exp(2j * np.pi * rng.random(n))
-        elif kind == 3:
-            size = int(rng.integers(1, n + 1))
-            idx = rng.choice(n, size=size, replace=False)
-            c = np.zeros(n, dtype=np.complex128)
-            c[idx] = 1.0
-            yield f"indicator_coeff({size})", c
         else:
             size = int(rng.integers(1, n + 1))
             idx = rng.choice(n, size=size, replace=False)
             c = np.zeros(n, dtype=np.complex128)
-            c[idx] = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-            yield f"sparse_coeff({size})", c
+            if kind == 3:
+                c[idx] = 1.0
+                yield f"indicator_coeff({size})", c
+            else:
+                c[idx] = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+                yield f"sparse_coeff({size})", c

@@ -47,25 +47,22 @@ def _coerce_grid(n: int, values: Any) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Signal2D:
+class _Grid:
+    """Complex values on (Z/NZ)^2, stored read-only as an (N, N) array."""
+
+    ring: RingContext
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "values", _coerce_grid(self.ring.modulus, self.values))
+
+
+class Signal2D(_Grid):
     """Complex-valued function on the spatial grid (Z/NZ)^2."""
 
-    ring: RingContext
-    values: np.ndarray
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _coerce_grid(self.ring.modulus, self.values))
-
-
-@dataclass(frozen=True, eq=False)
-class Spectrum2D:
+class Spectrum2D(_Grid):
     """Complex-valued function on the frequency grid (Z/NZ)^2."""
-
-    ring: RingContext
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _coerce_grid(self.ring.modulus, self.values))
 
 
 def dft_array(n: int, values: np.ndarray) -> np.ndarray:
@@ -90,24 +87,21 @@ def idft(spectrum: Spectrum2D) -> Signal2D:
     return Signal2D(spectrum.ring, idft_array(spectrum.ring.modulus, spectrum.values))
 
 
-def _values_of(f: Any) -> np.ndarray:
-    return f.values if hasattr(f, "values") else np.asarray(f)
+def _lp(f: Any, p: float, reduce) -> float:
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
+    a = np.abs(f.values if hasattr(f, "values") else np.asarray(f))
+    return float(reduce(a**p) ** (1.0 / p))
 
 
 def lp_norm(f: Any, p: float) -> float:
     """Counting-measure norm (sum_x |f(x)|^p)^(1/p); accepts signals, spectra, arrays."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    a = np.abs(_values_of(f))
-    return float((a**p).sum() ** (1.0 / p))
+    return _lp(f, p, np.sum)
 
 
 def normalized_lp_norm(f: Any, p: float) -> float:
     """Norm on the uniform probability measure: the sum is divided by N^2 first."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    a = np.abs(_values_of(f))
-    return float((a**p).mean() ** (1.0 / p))
+    return _lp(f, p, np.mean)
 
 
 def grid_to_json_dict(f: Signal2D | Spectrum2D) -> dict:
@@ -121,26 +115,20 @@ def _grid_from_json_dict(data: dict) -> tuple[RingContext, np.ndarray]:
         raise ValueError("expected an object with 'n' and 'values'")
     ring = make_ring(int(data["n"]))
     n = ring.modulus
-    vals = data["values"]
-    if len(vals) != n * n:
-        raise ValueError(f"expected {n * n} values for n={n}, got {len(vals)}")
-    arr = np.empty(n * n, dtype=np.complex128)
-    for i, pair in enumerate(vals):
-        re, im = float(pair[0]), float(pair[1])
-        arr[i] = complex(re, im)
-    if not np.all(np.isfinite(arr.view(np.float64))):
+    pairs = np.array(data["values"], dtype=float)
+    if pairs.shape != (n * n, 2):
+        raise ValueError(f"expected {n * n} [re, im] pairs for n={n}, got shape {pairs.shape}")
+    if not np.all(np.isfinite(pairs)):
         raise ValueError("values must be finite")
-    return ring, arr.reshape(n, n)
+    return ring, pairs.view(np.complex128).reshape(n, n)
 
 
 def signal_from_json_dict(data: dict) -> Signal2D:
-    ring, arr = _grid_from_json_dict(data)
-    return Signal2D(ring, arr)
+    return Signal2D(*_grid_from_json_dict(data))
 
 
 def spectrum_from_json_dict(data: dict) -> Spectrum2D:
-    ring, arr = _grid_from_json_dict(data)
-    return Spectrum2D(ring, arr)
+    return Spectrum2D(*_grid_from_json_dict(data))
 
 
 def signal_to_json(f: Signal2D | Spectrum2D) -> str:

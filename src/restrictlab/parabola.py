@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fourier import Signal2D, Spectrum2D, dft, idft_array
+from .fourier import Signal2D, Spectrum2D, _dft_matrix, idft_array
 from .zmod import RingContext
 
 
@@ -73,21 +73,19 @@ def exp_sum(sigma: ParabolaSet, m: tuple[int, int]) -> complex:
     n = sigma.ring.modulus
     m1, m2 = int(m[0]) % n, int(m[1]) % n
     phases = (m1 * sigma.rows + m2 * sigma.cols) % n
-    roots = np.exp(-2j * np.pi * np.arange(n) / n)
-    return complex(roots[phases].sum())
+    return complex(_dft_matrix(n)[1, phases].sum())
 
 
 def decay_profile(sigma: ParabolaSet) -> DecayProfile:
     """Exhaustive scan of |S(m)| over all N^2 - 1 nontrivial frequencies.
 
-    S is N times the transform of the indicator of the parabola laid out on
-    the spatial grid, so one DFT produces the whole profile.  For prime N the
+    With W[a, b] = exp(-2 pi i a b / N), S(m) = sum_t W[m1, t] W[t^2, m2], so
+    one product W @ W[t^2 rows] gives the whole profile.  For prime N the
     worst ratio |S(m)|/sqrt(N) is 1; composite squarefree N exceeds it.
     """
     n = sigma.ring.modulus
-    ind = np.zeros((n, n), dtype=np.complex128)
-    ind[sigma.rows, sigma.cols] = 1.0
-    mags = np.abs(dft(Signal2D(sigma.ring, ind)).values) * n
+    w = _dft_matrix(n)
+    mags = np.abs(w @ w[sigma.cols])
     masked = mags.copy()
     masked[0, 0] = -1.0
     max_mag = float(masked.max())
@@ -155,21 +153,27 @@ def restrict_to(sigma: ParabolaSet, spectrum: Spectrum2D) -> np.ndarray:
     return spectrum.values[sigma.rows, sigma.cols].copy()
 
 
-def extend_from(sigma: ParabolaSet, coefficients: Sequence[complex] | np.ndarray) -> Signal2D:
-    """The unique signal whose spectrum equals c on the parabola and 0 off it.
-
-    This is the adjoint of restrict_to composed with the inverse transform:
-    f(x) = (1/N) sum_t c(t) exp(+2 pi i <x, (t, t^2)> / N).
-    """
+def coefficient_vector(
+    sigma: ParabolaSet, coefficients: Sequence[complex] | np.ndarray
+) -> np.ndarray:
+    """One finite complex coefficient per parabola point; ValueError otherwise."""
     n = sigma.ring.modulus
     c = np.asarray(coefficients, dtype=np.complex128)
     if c.shape != (n,):
         raise ValueError(f"expected {n} coefficients, got shape {c.shape}")
     if not np.all(np.isfinite(c.view(np.float64))):
         raise ValueError("coefficients must be finite")
-    grid = np.zeros((n, n), dtype=np.complex128)
-    grid[sigma.rows, sigma.cols] = c
-    return Signal2D(sigma.ring, idft_array(n, grid))
+    return c
+
+
+def extend_from(sigma: ParabolaSet, coefficients: Sequence[complex] | np.ndarray) -> Signal2D:
+    """The unique signal whose spectrum equals c on the parabola and 0 off it.
+
+    This is the adjoint of restrict_to composed with the inverse transform:
+    f(x) = (1/N) sum_t c(t) exp(+2 pi i <x, (t, t^2)> / N).
+    """
+    grid = embed_coefficients(sigma, coefficient_vector(sigma, coefficients))
+    return Signal2D(sigma.ring, idft_array(sigma.ring.modulus, grid))
 
 
 def embed_coefficients(sigma: ParabolaSet, coefficients: np.ndarray) -> np.ndarray:

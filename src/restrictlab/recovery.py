@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -69,10 +68,6 @@ class RecoveryProblem:
             gap = np.abs(truth_hat[~mask] - self.observed.values[~mask])
             if gap.size and float(gap.max()) > 1e-10:
                 raise ValueError("true_signal disagrees with the observed spectrum off S")
-
-    @cached_property
-    def observed_count(self) -> int:
-        return int((~self.unobserved).sum())
 
 
 def erase(

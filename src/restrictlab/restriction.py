@@ -19,10 +19,12 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .fourier import Signal2D, dft, dft_array, idft_array, lp_norm, normalized_lp_norm
+from .families import sparse_values, stride_box_values
+from .fourier import Signal2D, dft, dft_array, idft_array, lp_norm
 from .parabola import (
     ParabolaSet,
     build_parabola,
+    coefficient_vector,
     embed_coefficients,
     energy_exact,
     extend_from,
@@ -188,6 +190,31 @@ def universal_certificate(sigma: ParabolaSet) -> UniversalCertificate:
     )
 
 
+def _extension_norms(
+    ring: RingContext, coefficients: np.ndarray, sigma: ParabolaSet | None, p: float, q: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized L^p and L^q norms of the extensions of coefficient rows (..., N)."""
+    if sigma is None:
+        sigma = build_parabola(ring)
+    a = np.abs(idft_array(ring.modulus, embed_coefficients(sigma, coefficients)))
+    return (a**p).mean(axis=(-2, -1)) ** (1.0 / p), (a**q).mean(axis=(-2, -1)) ** (1.0 / q)
+
+
+def _verify_extension(
+    coefficients: Sequence[complex] | np.ndarray,
+    sigma: ParabolaSet,
+    params: RestrictionParams,
+    witness_kind: str,
+) -> RestrictionReport:
+    """Normalized L^s over L^r of one extension, checked against params.constant."""
+    ring = sigma.ring
+    if not ring.squarefree:
+        raise ValueError(f"modulus {ring.modulus} is not squarefree")
+    c = coefficient_vector(sigma, coefficients)
+    lhs, rhs = _extension_norms(ring, c, sigma, params.s, params.r)
+    return _report(ring, params, float(lhs), float(rhs), witness_kind)
+
+
 def verify_dual(
     coefficients: Sequence[complex] | np.ndarray,
     sigma: ParabolaSet,
@@ -198,25 +225,13 @@ def verify_dual(
     For f = extend_from(c):  ||f||_4 <= 2^(omega/4) * N^(-1/2) * ||f||_2 in
     counting norms, which is the same ratio as normalized L^4 over L^2.
     """
-    ring = sigma.ring
-    if not ring.squarefree:
-        raise ValueError(f"modulus {ring.modulus} is not squarefree")
-    f = extend_from(sigma, coefficients)
-    lhs = normalized_lp_norm(f, 4)
-    rhs = normalized_lp_norm(f, 2)
-    params = RestrictionParams(s=4.0, r=2.0, constant=certified_constant(ring))
-    return _report(ring, params, lhs, rhs, witness_kind)
+    params = RestrictionParams(s=4.0, r=2.0, constant=certified_constant(sigma.ring))
+    return _verify_extension(coefficients, sigma, params, witness_kind)
 
 
 def dual_ratios(ring: RingContext, coefficients: np.ndarray, sigma: ParabolaSet | None = None) -> np.ndarray:
     """Batch of ||f||_4 / (N^(-1/2) ||f||_2) ratios for coefficient rows (..., N)."""
-    if sigma is None:
-        sigma = build_parabola(ring)
-    n = ring.modulus
-    f = idft_array(n, embed_coefficients(sigma, coefficients))
-    a = np.abs(f)
-    lhs = (a**4).mean(axis=(-2, -1)) ** 0.25
-    rhs = (a**2).mean(axis=(-2, -1)) ** 0.5
+    lhs, rhs = _extension_norms(ring, coefficients, sigma, 4, 2)
     with np.errstate(invalid="ignore", divide="ignore"):
         out = np.where(rhs == 0.0, 0.0, lhs / np.where(rhs == 0.0, 1.0, rhs))
     return np.asarray(out, dtype=float)
@@ -231,14 +246,8 @@ def verify_l1_l2(
 
     K is the dual L^4 constant; the exponent q/(q-2) equals 2 at q = 4.
     """
-    ring = sigma.ring
-    if not ring.squarefree:
-        raise ValueError(f"modulus {ring.modulus} is not squarefree")
-    f = extend_from(sigma, coefficients)
-    lhs = normalized_lp_norm(f, 2)
-    rhs = normalized_lp_norm(f, 1)
-    params = RestrictionParams(s=2.0, r=1.0, constant=certified_constant(ring) ** 2)
-    return _report(ring, params, lhs, rhs, witness_kind)
+    params = RestrictionParams(s=2.0, r=1.0, constant=certified_constant(sigma.ring) ** 2)
+    return _verify_extension(coefficients, sigma, params, witness_kind)
 
 
 @dataclass(frozen=True)
@@ -441,7 +450,8 @@ def uncertainty_search(
     T + a have the same off-support singular values, and every T has a
     translate through (0, 0).  supports_checked counts the supports decided:
     C(N^2, max_support) when nothing is found; on a find it counts only the
-    representatives scanned so far.
+    representatives scanned so far.  The randomized path draws samples
+    supports and rejects samples < 1: zero draws would decide nothing.
     """
     ring = sigma.ring
     if not ring.squarefree:
@@ -457,6 +467,8 @@ def uncertainty_search(
     total = math.comb(universe, max_support)
     exhaustive = total <= exhaustive_cap
     method = "exhaustive" if exhaustive else "randomized"
+    if not exhaustive and samples < 1:
+        raise ValueError(f"the randomized search needs samples >= 1, got {samples}")
     scanned = math.comb(universe - 1, max_support - 1) if exhaustive else samples
     products = _gram_products(ext) if _gram_by_gemm(n, min(batch, scanned), max_support) else None
 
@@ -483,24 +495,16 @@ def uncertainty_search(
         checked += supports.shape[0]
         min_margin = min(min_margin, margin)
         if t_flat is not None:
-            return UncertaintyVerdict(
-                n=n,
-                max_support=max_support,
-                found=True,
-                support=tuple((int(i) // n, int(i) % n) for i in t_flat),
-                coefficients=coeff,
-                method=method,
-                supports_checked=checked,
-                min_margin=min_margin,
-            )
+            break
+    found = t_flat is not None
     return UncertaintyVerdict(
         n=n,
         max_support=max_support,
-        found=False,
-        support=None,
-        coefficients=None,
+        found=found,
+        support=tuple((int(i) // n, int(i) % n) for i in t_flat) if found else None,
+        coefficients=coeff,
         method=method,
-        supports_checked=total if exhaustive else checked,
+        supports_checked=total if exhaustive and not found else checked,
         min_margin=min_margin,
     )
 
@@ -517,16 +521,8 @@ class ProbeResult:
     reports: tuple[RestrictionReport, ...]
 
 
-def stride_box_values(ring: RingContext, d1: int, d2: int, a: int, b: int) -> np.ndarray:
-    """Indicator of {a + d1*i} x {b + d2*j} as a value grid."""
-    n = ring.modulus
-    vals = np.zeros((n, n), dtype=np.complex128)
-    vals[a % d1 :: d1, :][:, b % d2 :: d2] = 1.0
-    return vals
-
-
 def _square_divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0 and n % (d * d) == 0]
+    return [d for d in range(1, n + 1) if n % (d * d) == 0]
 
 
 def sharpness_probe(
@@ -546,19 +542,15 @@ def sharpness_probe(
     sigma = build_parabola(ring)
     n = ring.modulus
     candidates: list[tuple[str, np.ndarray]] = []
-    for d1 in _square_divisors(n):
-        for d2 in _square_divisors(n):
-            for a in range(d1):
-                for b in range(d2):
-                    label = f"stride_box(d1={d1},d2={d2},a={a},b={b})"
-                    candidates.append((label, stride_box_values(ring, d1, d2, a, b)))
+    for d1, d2 in itertools.product(_square_divisors(n), repeat=2):
+        for a, b in itertools.product(range(d1), range(d2)):
+            label = f"stride_box(d1={d1},d2={d2},a={a},b={b})"
+            candidates.append((label, stride_box_values(ring, d1, d2, a, b)))
     rng = spawn_rng(seed, n)
     for i in range(trials):
         size = int(rng.integers(1, max(2, n * n // 4)))
-        idx = rng.choice(n * n, size=size, replace=False)
-        vals = np.zeros(n * n, dtype=np.complex128)
-        vals[idx] = 1.0
-        candidates.append((f"random_indicator(size={size},trial={i})", vals.reshape(n, n)))
+        vals = sparse_values(ring, rng, size, indicator=True)
+        candidates.append((f"random_indicator(size={size},trial={i})", vals))
     candidates.extend(extra)
 
     reports: list[RestrictionReport] = []

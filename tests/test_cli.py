@@ -273,3 +273,28 @@ def test_stdout_when_no_output_file(capsys):
     captured = capsys.readouterr()
     assert captured.out.startswith("N,omega,")
     assert "120" in captured.out
+
+
+def test_unreadable_input_and_unwritable_output_are_usage_errors(tmp_path, capsys):
+    missing = tmp_path / "no-such-dir"
+    assert main(["recover", "--n", "15", "--input", str(missing / "signal.json")]) == 2
+    assert main(["energy", "--n", "6", "--output", str(missing / "x.csv")]) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 2 and all(line.startswith("error: ") for line in errors)
+    assert not missing.exists()
+
+
+def test_recover_rejects_malformed_pairs(tmp_path):
+    for pair in ([1.0], [1.0, 2.0, 3.0], ["x", 0.0]):
+        sig = tmp_path / "sig.json"
+        sig.write_text(json.dumps({"n": 3, "values": [[0.0, 0.0]] * 8 + [pair]}))
+        assert main(["recover", "--n", "3", "--input", str(sig)]) == 2
+
+
+def test_uncertainty_without_random_draws_is_a_usage_error(capsys):
+    for trials in ("0", "-5"):
+        args = ["uncertainty", "--n", "15", "--max-support", "56", "--trials", trials]
+        assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "found" not in captured.err

@@ -185,3 +185,20 @@ def test_json_bad_payload_rejected():
         signal_from_json(json.dumps({"n": 3, "values": [[0.0, 0.0]] * 5}))
     with pytest.raises(ValueError):
         signal_from_json(json.dumps({"n": 3, "values": [[0.0, "x"]] * 9}))
+
+
+@pytest.mark.parametrize(
+    "pair", [[1.0], [1.0, 2.0, 3.0], ["x", 0.0], [None, 0.0], {"re": 1.0}, 1.0]
+)
+def test_json_pair_must_be_two_numbers(pair):
+    values = [[0.0, 0.0]] * 8 + [pair]
+    with pytest.raises(ValueError):
+        signal_from_json(json.dumps({"n": 3, "values": values}))
+
+
+def test_json_values_load_exactly():
+    values = [[0.0, -0.0], [-0.0, 0.0], [1.5, -2.5], [1e-300, 3.0]]
+    f = signal_from_json(json.dumps({"n": 2, "values": values}))
+    got = f.values.reshape(-1).view(np.float64).reshape(-1, 2)
+    assert np.array_equal(got, values)
+    assert np.array_equal(np.signbit(got), np.signbit(values))

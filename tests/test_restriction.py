@@ -178,6 +178,27 @@ def test_dual_gate():
         verify_dual(np.ones(4), sigma)
 
 
+@pytest.mark.parametrize("n", [6, 15, 35])
+def test_dual_wrapper_is_a_batch_of_one(n):
+    ring = make_ring(n)
+    sigma = build_parabola(ring)
+    coeffs = spawn_rng(37, n).standard_normal((5, n)) + 0.5j
+    ratios = dual_ratios(ring, coeffs, sigma)
+    for c, ratio in zip(coeffs, ratios):
+        assert verify_dual(c, sigma).ratio == float(ratio)
+
+
+def test_extension_wrappers_check_coefficients():
+    sigma = build_parabola(make_ring(15))
+    bad = [np.ones(14), np.ones((1, 15)), np.full(15, np.nan)]
+    for check in (verify_dual, verify_l1_l2):
+        for coeffs in bad:
+            with pytest.raises(ValueError):
+                check(coeffs, sigma)
+    with pytest.raises(ValueError):
+        verify_l1_l2(np.ones(4), build_parabola(make_ring(4)))
+
+
 @pytest.mark.parametrize("n", [5, 6, 15, 35])
 def test_l1_l2_bound(n):
     ring = make_ring(n)
@@ -248,6 +269,16 @@ def test_uncertainty_randomized_mode():
     assert verdict.method == "randomized"
     assert verdict.supports_checked == 3000
     assert not verdict.found
+
+
+def test_uncertainty_randomized_needs_a_sample():
+    sigma = build_parabola(make_ring(6))
+    for samples in (0, -5):
+        with pytest.raises(ValueError, match="samples"):
+            uncertainty_search(sigma, 8, samples=samples, exhaustive_cap=1000)
+    # the exhaustive path draws nothing, so samples does not matter there
+    verdict = uncertainty_search(build_parabola(make_ring(3)), 4, samples=0)
+    assert verdict.method == "exhaustive" and verdict.supports_checked == math.comb(9, 4)
 
 
 def test_uncertainty_zone_validation():
