@@ -33,6 +33,14 @@ def _dft_matrix(n: int) -> np.ndarray:
     return w
 
 
+@lru_cache(maxsize=128)
+def _idft_matrix(n: int) -> np.ndarray:
+    # conj(W), cached so the inverse transform does not rebuild it per call
+    wc = _dft_matrix(n).conj()
+    wc.setflags(write=False)
+    return wc
+
+
 def _coerce_grid(n: int, values: Any) -> np.ndarray:
     arr = np.asarray(values, dtype=np.complex128)
     if arr.shape == (n * n,):
@@ -73,7 +81,7 @@ def dft_array(n: int, values: np.ndarray) -> np.ndarray:
 
 def idft_array(n: int, values: np.ndarray) -> np.ndarray:
     """Inverse transform of one or a batch of (..., N, N) value grids."""
-    wc = _dft_matrix(n).conj()
+    wc = _idft_matrix(n)
     return np.matmul(wc, np.matmul(values, wc)) / n
 
 

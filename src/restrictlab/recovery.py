@@ -16,6 +16,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .families import sparse_values
 from .fourier import Signal2D, Spectrum2D, dft_array, idft_array
 from .parabola import ParabolaSet, build_parabola
 from .rng import spawn_rng
@@ -129,58 +130,67 @@ class RecoveryResult:
     status: str  # converged | max_iterations | non_unique | solved | singular
 
 
-def _soft_threshold(values: np.ndarray, level: float) -> np.ndarray:
-    # shrink the modulus, keep the phase
-    mag = np.abs(values)
-    scale = np.maximum(1.0 - level / np.maximum(mag, 1e-300), 0.0)
-    return values * scale
-
-
 def logan_recover(problem: RecoveryProblem, params: LoganParams = LoganParams()) -> RecoveryResult:
     """l1 minimization subject to the observed spectrum, via Douglas-Rachford.
 
     Iterates x = shrink(y), z = P(2x - y), y += z - x, where P is the affine
     data projection.  Every z is feasible; the best one seen (by l1 value) is
     returned, so the reported objective never exceeds that of any feasible
-    iterate encountered.  Stops once the shrink iterate is feasible to
-    feasibility_tol and the objective has stalled over the trailing window,
+    iterate encountered.  Stops once the objective has stalled over the
+    trailing window and the shrink iterate is feasible to feasibility_tol (the
+    feasibility residual is evaluated only once the objective has stalled),
     or at max_iterations with a distinct status.
     """
     ring = problem.ring
     n = ring.modulus
     off = ~problem.unobserved
     obs = problem.observed.values
-    obs_norm = max(1.0, float(np.linalg.norm(obs[off])))
+    obs_off = obs[off]
+    obs_norm = max(1.0, float(np.linalg.norm(obs_off)))
 
     yhat = np.where(off, obs, 0.0)
     y = idft_array(n, yhat)
+    # Buffers reused by every iteration: mag holds |y| and then the shrink
+    # factor max(1 - step / max(|y|, 1e-300), 0), which keeps the phase of y.
+    mag = np.empty((n, n))
+    x = np.empty((n, n), dtype=np.complex128)
     best_obj = np.inf
     best_z = None
     objectives: list[float] = []
     status = "max_iterations"
     iterations = params.max_iterations
     for k in range(1, params.max_iterations + 1):
-        x = _soft_threshold(y, params.step)
+        np.abs(y, out=mag)
+        np.maximum(mag, 1e-300, out=mag)
+        np.divide(params.step, mag, out=mag)
+        np.subtract(1.0, mag, out=mag)
+        np.maximum(mag, 0.0, out=mag)
+        np.multiply(y, mag, out=x)
         xhat = dft_array(n, x)
-        zhat = np.where(off, obs, 2.0 * xhat - yhat)
+        zhat = 2.0 * xhat
+        zhat -= yhat
+        np.copyto(zhat, obs, where=off)
         z = idft_array(n, zhat)
-        y = y + z - x
-        yhat = yhat + zhat - xhat
-        obj = float(np.abs(z).sum())
+        y += z
+        y -= x
+        yhat += zhat
+        yhat -= xhat
+        obj = float(np.abs(z, out=mag).sum())
         if obj < best_obj:
             best_obj, best_z = obj, z
         objectives.append(obj)
-        residual = float(np.linalg.norm(xhat[off] - obs[off])) / obs_norm
-        if residual <= params.feasibility_tol and len(objectives) > params.window:
+        if len(objectives) > params.window:
             prev = objectives[-1 - params.window]
             if abs(obj - prev) <= params.objective_tol * max(1.0, abs(obj)):
-                status = "converged"
-                iterations = k
-                break
+                residual = float(np.linalg.norm(xhat[off] - obs_off)) / obs_norm
+                if residual <= params.feasibility_tol:
+                    status = "converged"
+                    iterations = k
+                    break
 
     assert best_z is not None
     recovered = Signal2D(ring, best_z)
-    final_residual = float(np.linalg.norm(dft_array(n, best_z)[off] - obs[off])) / obs_norm
+    final_residual = float(np.linalg.norm(dft_array(n, best_z)[off] - obs_off)) / obs_norm
     exact: bool | None = None
     if problem.true_signal is not None:
         truth = problem.true_signal.values
@@ -270,15 +280,10 @@ def random_instance(
 ) -> RecoveryProblem:
     """Planted instance: random support of e_size, random amplitudes, erased S."""
     n = ring.modulus
-    flat = rng.choice(n * n, size=e_size, replace=False)
-    if unimodular:
-        amps = np.exp(2j * np.pi * rng.random(e_size))
-    else:
-        amps = rng.standard_normal(e_size) + 1j * rng.standard_normal(e_size)
-    vals = np.zeros(n * n, dtype=np.complex128)
-    vals[flat] = amps
-    support = tuple((int(i) // n, int(i) % n) for i in np.sort(flat))
-    return erase(Signal2D(ring, vals.reshape(n, n)), unobserved, support_hint=support)
+    vals = sparse_values(ring, rng, e_size, unimodular=unimodular)
+    # no drawn amplitude is zero, so the nonzero cells are the sorted support
+    support = tuple((int(i) // n, int(i) % n) for i in np.flatnonzero(vals))
+    return erase(Signal2D(ring, vals), unobserved, support_hint=support)
 
 
 def _map_ordered(fn: Callable, items: Sequence, threads: int) -> list:

@@ -8,6 +8,8 @@ import pytest
 from restrictlab.fourier import (
     Signal2D,
     Spectrum2D,
+    _dft_matrix,
+    _idft_matrix,
     dft,
     dft_array,
     idft,
@@ -108,6 +110,25 @@ def test_batched_matches_single():
         single = dft_array(n, batch[i])
         assert np.allclose(got[i], single, atol=1e-12)
     assert np.allclose(idft_array(n, got), batch, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [2, 6, 15, 35])
+def test_idft_matches_conjugate_formula_bit_for_bit(n):
+    # The cached conj(W) must give exactly what conjugating W per call gave.
+    rng = spawn_rng(16, n)
+    wc = _dft_matrix(n).conj()
+    for shape in ((n, n), (3, n, n)):
+        vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want = np.matmul(wc, np.matmul(vals, wc)) / n
+        assert np.array_equal(idft_array(n, vals), want)
+
+
+def test_cached_inverse_matrix_is_read_only():
+    wc = _idft_matrix(7)
+    assert wc is _idft_matrix(7)
+    assert np.array_equal(wc, _dft_matrix(7).conj())
+    with pytest.raises(ValueError):
+        wc[0, 0] = 0.0
 
 
 def test_norms():

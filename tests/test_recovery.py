@@ -207,3 +207,44 @@ def test_sweep_rerun_is_identical():
     a = threshold_sweep(ring, [4], trials=6, seed=13)
     b = threshold_sweep(ring, [4], trials=6, seed=13)
     assert a == b
+
+
+# Trajectory pins: (iterations, status, exact, repr(final_objective),
+# repr(residual)) of fixed solves, recorded before the DR loop was made lean.
+# A rewrite of the loop that keeps every floating-point operation and its
+# order reproduces them exactly; any reordering moves the objective's last
+# digits or the iteration count.
+TRAJECTORY_PINS = {
+    (6, 2, 90, False, None): (76, "converged", True, "2.0623065324841696", "4.363164428774504e-16"),
+    (6, 8, 91, False, None): (102, "converged", True, "6.0169841002741915", "5.688534171927759e-16"),
+    (6, 24, 90, False, None): (208, "converged", False, "23.029993956565214", "4.020750997977176e-16"),
+    (15, 5, 92, False, None): (100, "converged", True, "6.957006972246627", "4.673544754013095e-16"),
+    (15, 30, 93, False, None): (99, "converged", True, "29.13323783885132", "4.963979884350114e-16"),
+    (15, 6, 94, True, None): (69, "converged", True, "6.000000000000011", "4.736538113172605e-16"),
+    (35, 12, 95, False, None): (135, "converged", True, "12.594197852556034", "6.295154367429912e-16"),
+    (35, 40, 96, False, None): (123, "converged", True, "53.25402910695634", "5.94763751063706e-16"),
+    (15, 30, 93, False, 60): (60, "max_iterations", True, "29.13323783958475", "5.323373700289498e-16"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(TRAJECTORY_PINS, key=repr), ids=repr)
+def test_logan_trajectory_pins(key):
+    n, size, seed, unimodular, cap = key
+    params = LoganParams() if cap is None else LoganParams(max_iterations=cap)
+    result = logan_recover(_planted(n, size, seed, unimodular=unimodular), params)
+    got = (result.iterations, result.status, result.exact, repr(result.final_objective), repr(result.residual))
+    assert got == TRAJECTORY_PINS[key]
+
+
+def test_logan_trajectory_pin_spectrum_concentrated_miss():
+    ring = make_ring(15)
+    problem = erase(extend_from(build_parabola(ring), np.ones(15)))
+    result = logan_recover(problem)
+    got = (result.iterations, result.status, result.exact, repr(result.final_objective), repr(result.residual))
+    assert got == (51, "converged", False, "1.993958430834274e-14", "9.782279054608348e-31")
+
+
+def test_sweep_mean_iterations_pin():
+    rows = threshold_sweep(make_ring(35), [3, 17, 40], trials=2, seed=5)
+    assert [row.mean_iterations for row in rows] == [85.0, 116.0, 169.0]
+    assert [row.exact_count for row in rows] == [2, 2, 2]
