@@ -338,7 +338,7 @@ def _cmd_sweep(args: argparse.Namespace, rings: list[RingContext]) -> Report:
 def _cmd_summarize(args: argparse.Namespace, rings: list[RingContext]) -> Report:
     """Aggregate verify-style CSVs: one row per modulus with the worst ratio."""
     header: list[str] | None = None
-    by_n: dict[int, list[dict[str, str]]] = {}
+    by_n: dict[int, list[tuple[float, bool]]] = {}
     for path in args.reports:
         try:
             with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -354,16 +354,18 @@ def _cmd_summarize(args: argparse.Namespace, rings: list[RingContext]) -> Report
             raise UsageError(f"{path} header does not match the first report file")
         header = table[0]
         for cells in table[1:]:
+            if len(cells) != len(header):
+                raise UsageError(f"{path} has a data row of {len(cells)} cells, header has {len(header)}")
             row = dict(zip(header, cells))
             try:
-                n = int(row["N"])
-            except (KeyError, ValueError):
-                raise UsageError("malformed data row (bad N)") from None
-            by_n.setdefault(n, []).append(row)
+                n, ratio = int(row["N"]), float(row["ratio"])
+            except ValueError:
+                raise UsageError(f"{path} has a malformed data row (bad N or ratio)") from None
+            by_n.setdefault(n, []).append((ratio, row["satisfied"] == "true"))
     rows = []
     for n, group in sorted(by_n.items()):
-        ok = all(row["satisfied"] == "true" for row in group)
-        rows.append([n, len(group), max(float(row["ratio"]) for row in group), ok])
+        ok = all(satisfied for _, satisfied in group)
+        rows.append([n, len(group), max(ratio for ratio, _ in group), ok])
     return SUMMARY_COLUMNS, rows, not all(ok for *_, ok in rows)
 
 

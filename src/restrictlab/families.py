@@ -6,6 +6,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .fourier import _idft_matrix
 from .zmod import RingContext
 
 
@@ -17,11 +18,11 @@ def delta_values(ring: RingContext, x1: int, x2: int) -> np.ndarray:
 
 
 def character_values(ring: RingContext, m1: int, m2: int) -> np.ndarray:
-    """exp(+2 pi i <x, m> / N) on the grid."""
+    """exp(+2 pi i <x, m> / N) on the grid, read from the inverse root table."""
     n = ring.modulus
     x1 = np.arange(n)[:, None]
     x2 = np.arange(n)[None, :]
-    return np.exp(2j * np.pi * ((m1 * x1 + m2 * x2) % n) / n)
+    return _idft_matrix(n)[1][(m1 * x1 + m2 * x2) % n]
 
 
 def box_values(ring: RingContext, a: int, b: int, w: int, h: int) -> np.ndarray:

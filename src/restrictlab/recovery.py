@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .families import sparse_values
-from .fourier import Signal2D, Spectrum2D, dft_array, idft_array
+from .fourier import Signal2D, Spectrum2D, _dft_matrix, dft_array, idft_array
 from .parabola import ParabolaSet, build_parabola
 from .rng import spawn_rng
 from .zmod import RingContext
@@ -117,6 +117,10 @@ class LoganParams:
     exact_tol: float = 1e-6
     tie_tol: float = 1e-6
 
+    def __post_init__(self) -> None:
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+
 
 @dataclass(frozen=True, eq=False)
 class RecoveryResult:
@@ -128,6 +132,17 @@ class RecoveryResult:
     residual: float
     exact: bool | None  # None when no ground truth is attached
     status: str  # converged | max_iterations | non_unique | solved | singular
+
+
+def _fit(problem: RecoveryProblem, values: np.ndarray, exact_tol: float) -> tuple[float, bool | None]:
+    """Relative misfit of values' spectrum off S, and agreement with the truth (None without one)."""
+    off = ~problem.unobserved
+    obs_off = problem.observed.values[off]
+    spectrum = dft_array(problem.ring.modulus, values)
+    residual = float(np.linalg.norm(spectrum[off] - obs_off)) / max(1.0, float(np.linalg.norm(obs_off)))
+    if problem.true_signal is None:
+        return residual, None
+    return residual, bool(np.abs(values - problem.true_signal.values).max() <= exact_tol)
 
 
 def logan_recover(problem: RecoveryProblem, params: LoganParams = LoganParams()) -> RecoveryResult:
@@ -189,18 +204,13 @@ def logan_recover(problem: RecoveryProblem, params: LoganParams = LoganParams())
                     break
 
     assert best_z is not None
-    recovered = Signal2D(ring, best_z)
-    final_residual = float(np.linalg.norm(dft_array(n, best_z)[off] - obs_off)) / obs_norm
-    exact: bool | None = None
-    if problem.true_signal is not None:
-        truth = problem.true_signal.values
-        exact = bool(np.abs(best_z - truth).max() <= params.exact_tol)
-        if status == "converged" and not exact:
-            truth_obj = float(np.abs(truth).sum())
-            if abs(best_obj - truth_obj) <= params.tie_tol * max(1.0, truth_obj):
-                status = "non_unique"
+    final_residual, exact = _fit(problem, best_z, params.exact_tol)
+    if status == "converged" and exact is False:
+        truth_obj = float(np.abs(problem.true_signal.values).sum())
+        if abs(best_obj - truth_obj) <= params.tie_tol * max(1.0, truth_obj):
+            status = "non_unique"
     return RecoveryResult(
-        recovered=recovered,
+        recovered=Signal2D(ring, best_z),
         iterations=iterations,
         final_objective=best_obj,
         residual=final_residual,
@@ -209,42 +219,31 @@ def logan_recover(problem: RecoveryProblem, params: LoganParams = LoganParams())
     )
 
 
-def least_squares_recover(problem: RecoveryProblem, rcond: float = 1e-12) -> RecoveryResult:
-    """Least-squares fit of the observed spectrum on a known spatial support.
+def least_squares_recover(problem: RecoveryProblem) -> RecoveryResult:
+    """Least-squares fit of the observed spectrum on a known spatial support T.
 
-    Solves the normal equations for the character columns at the support
-    positions.  A singular Gram matrix (non-unique recovery) is reported via
-    status "singular" with the minimum-norm solution.
+    The DFT is unitary, so the normal equations are the k x k system
+    (I - A^H A) c = idft(observed)[T], with A the DFT block on the erased rows
+    S and the columns T (A = E_T^H when S is the parabola).  A Gram with
+    s_min <= 1e-12 s_max (non-unique recovery) is reported via status
+    "singular" with lstsq's minimum-norm solution.
     """
     if problem.support_hint is None:
         raise ValueError("least_squares_recover needs a support_hint on the problem")
     ring = problem.ring
     n = ring.modulus
-    support = problem.support_hint
-    off = ~problem.unobserved
-    m1, m2 = np.nonzero(off)
-    b = problem.observed.values[m1, m2]
-    x1 = np.array([p[0] for p in support])
-    x2 = np.array([p[1] for p in support])
-    phase = (m1[:, None] * x1[None, :] + m2[:, None] * x2[None, :]) % n
-    a = np.exp(-2j * np.pi * phase / n) / n
-    gram = a.conj().T @ a
-    rhs = a.conj().T @ b
-    ev = np.linalg.eigvalsh(gram)
-    singular = bool(ev[0] <= rcond * max(float(ev[-1]), rcond))
-    if singular:
-        coeffs, *_ = np.linalg.lstsq(a, b, rcond=None)
-    else:
-        coeffs = np.linalg.solve(gram, rhs)
+    x1, x2 = np.array(problem.support_hint).T
+    m1, m2 = np.nonzero(problem.unobserved)
+    a = _dft_matrix(n)[1][(np.outer(m1, x1) + np.outer(m2, x2)) % n] / n
+    gram = np.eye(x1.size) - a.conj().T @ a
+    rhs = idft_array(n, problem.observed.values)[x1, x2]
+    coeffs, _, _, sv = np.linalg.lstsq(gram, rhs, rcond=None)
+    singular = bool(sv[-1] <= 1e-12 * max(float(sv[0]), 1e-12))
     vals = np.zeros((n, n), dtype=np.complex128)
     vals[x1, x2] = coeffs
-    recovered = Signal2D(ring, vals)
-    residual = float(np.linalg.norm(a @ coeffs - b)) / max(1.0, float(np.linalg.norm(b)))
-    exact: bool | None = None
-    if problem.true_signal is not None:
-        exact = bool(np.abs(vals - problem.true_signal.values).max() <= 1e-6)
+    residual, exact = _fit(problem, vals, 1e-6)
     return RecoveryResult(
-        recovered=recovered,
+        recovered=Signal2D(ring, vals),
         iterations=1,
         final_objective=float(np.abs(vals).sum()),
         residual=residual,
@@ -299,12 +298,11 @@ def threshold_sweep(
     trials: int,
     seed: int,
     *,
-    unobserved=None,
     unimodular: bool = False,
     params: LoganParams = LoganParams(),
     threads: int = 1,
 ) -> list[SweepRow]:
-    """Empirical exact-recovery rates by support size, S erased (default parabola).
+    """Empirical exact-recovery rates by support size, the parabola erased.
 
     Each trial draws from its own (seed, size, trial)-keyed stream, so results
     do not depend on thread count or scheduling.  trials = 0 yields no rows.
@@ -314,7 +312,7 @@ def threshold_sweep(
     if trials == 0:
         return []
     n = ring.modulus
-    mask = _as_mask(ring, unobserved)
+    mask = _as_mask(ring, None)
     s_size = int(mask.sum())
     ds = n * n / (2.0 * s_size) if s_size else np.inf
     improved = n * n / (4.0 * 2**ring.omega)

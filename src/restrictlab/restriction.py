@@ -15,12 +15,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .families import sparse_values, stride_box_values
-from .fourier import Signal2D, dft, dft_array, idft_array, lp_norm
+from .fourier import Signal2D, _idft_matrix, dft, dft_array, idft_array, lp_norm
 from .parabola import (
     ParabolaSet,
     build_parabola,
@@ -315,13 +315,15 @@ class UncertaintyVerdict:
 def extension_matrix(sigma: ParabolaSet) -> np.ndarray:
     """N^2 x N matrix E with E[x, t] = (1/N) exp(+2 pi i <x, (t, t^2)> / N).
 
-    Columns are orthonormal characters; extend_from(c) is E @ c laid on the grid.
+    Entries are read from the inverse transform's root table at the phase
+    <x, (t, t^2)> mod N.  Columns are orthonormal characters; extend_from(c)
+    is E @ c laid on the grid.
     """
     n = sigma.ring.modulus
     x1 = np.repeat(np.arange(n), n)
     x2 = np.tile(np.arange(n), n)
     phase = (np.outer(x1, sigma.rows) + np.outer(x2, sigma.cols)) % n
-    return np.exp(2j * np.pi * phase / n) / n
+    return _idft_matrix(n)[1][phase] / n
 
 
 def _gram_products(ext: np.ndarray) -> np.ndarray:
@@ -412,18 +414,17 @@ def _scan_chunk(
 
     The witness is the first support whose margin is <= RANK_RTOL, as sorted
     flat cell indices, with a unit coefficient vector whose extension vanishes
-    off it; both are None when the chunk has no such support.
+    off it; both are None when the chunk has no such support.  The vector is
+    the top eigenvector of that support's Gram E_T^H E_T: the columns of E are
+    orthonormal, so ||E_offT c||^2 = 1 - c^H E_T^H E_T c, which is zero at
+    eigenvalue 1.
     """
     gram = _grams(ext, supports, products)
     margin = _min_margin(gram, supports.shape[1])
     if margin > RANK_RTOL:
         return margin, None, None
     first = int(np.flatnonzero(_margins(gram) <= RANK_RTOL)[0])
-    t_flat = np.sort(supports[first])
-    off = np.setdiff1d(np.arange(ext.shape[0]), t_flat, assume_unique=True)
-    # With fewer off rows than columns the null vectors are only in the full V^H.
-    _, _, vh = np.linalg.svd(ext[off], full_matrices=off.size < ext.shape[1])
-    return margin, t_flat, vh[-1].conj()
+    return margin, np.sort(supports[first]), np.linalg.eigh(gram[first])[1][:, -1]
 
 
 def _random_supports(rng: np.random.Generator, count: int, universe: int, k: int) -> np.ndarray:
@@ -530,13 +531,7 @@ def _square_divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % (d * d) == 0]
 
 
-def sharpness_probe(
-    ring: RingContext,
-    *,
-    trials: int = 200,
-    seed: int = 0,
-    extra: Iterable[tuple[str, np.ndarray]] = (),
-) -> ProbeResult:
+def sharpness_probe(ring: RingContext, *, trials: int = 200, seed: int = 0) -> ProbeResult:
     """Hunt for large restriction ratios; any modulus, no certified constant.
 
     The structured family runs over indicators of stride boxes
@@ -556,7 +551,6 @@ def sharpness_probe(
         size = int(rng.integers(1, max(2, n * n // 4)))
         vals = sparse_values(ring, rng, size, indicator=True)
         candidates.append((f"random_indicator(size={size},trial={i})", vals))
-    candidates.extend(extra)
 
     reports: list[RestrictionReport] = []
     best_ratio, best_witness = 0.0, ""

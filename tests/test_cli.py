@@ -298,3 +298,28 @@ def test_uncertainty_without_random_draws_is_a_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "found" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["recover", "--n", "15", "--sizes", "3", "--max-iterations", "0"],
+        ["sweep", "--n", "15", "--sizes", "3", "--trials", "2", "--max-iterations", "-5"],
+    ],
+)
+def test_nonpositive_max_iterations_is_a_usage_error(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    assert "max_iterations" in captured.err
+
+
+@pytest.mark.parametrize("row", ["15,0.7", "15,abc,true"])
+def test_summarize_rejects_a_malformed_data_row(row, tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"N,ratio,satisfied\n{row}\n")
+    assert main(["summarize", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(bad) in captured.err

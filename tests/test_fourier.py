@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from restrictlab.families import character_values
 from restrictlab.fourier import (
     Signal2D,
     Spectrum2D,
@@ -20,6 +21,8 @@ from restrictlab.fourier import (
     signal_to_json,
     spectrum_from_json,
 )
+from restrictlab.parabola import build_parabola
+from restrictlab.restriction import extension_matrix
 from restrictlab.rng import spawn_rng
 from restrictlab.zmod import make_ring
 
@@ -129,6 +132,34 @@ def test_cached_inverse_matrix_is_read_only():
     assert np.array_equal(wc, _dft_matrix(7).conj())
     with pytest.raises(ValueError):
         wc[0, 0] = 0.0
+
+
+def _same_floats(got, want):
+    return got.shape == want.shape and np.array_equal(got.view(np.float64), want.view(np.float64))
+
+
+@pytest.mark.parametrize("n", range(2, 61))
+def test_root_table_reads_match_exp_formulas_bit_for_bit(n):
+    # extension_matrix and character_values read the cached conj(W); every
+    # real and imaginary part must equal what their own np.exp formulas gave.
+    # Compared as floats, so the one difference left is the sign of a zero:
+    # at phase 0 the table's imaginary part is -0.0, the formula's +0.0.
+    # character_values is checked on every (m1, m2) up to N = 30.
+    ring = make_ring(n)
+    sigma = build_parabola(ring)
+    x1 = np.repeat(np.arange(n), n)
+    x2 = np.tile(np.arange(n), n)
+    phase = (np.outer(x1, sigma.rows) + np.outer(x2, sigma.cols)) % n
+    assert _same_floats(extension_matrix(sigma), np.exp(2j * np.pi * phase / n) / n)
+    if n > 30:  # the np.exp reference on all N^4 cells costs ~66 ns a cell
+        return
+    g1 = np.arange(n)[:, None]
+    g2 = np.arange(n)[None, :]
+    m2 = np.arange(n)[:, None, None]
+    for m1 in range(n):
+        want = np.exp(2j * np.pi * ((m1 * g1 + m2 * g2) % n) / n)  # all m2 at once
+        got = np.stack([character_values(ring, m1, b) for b in range(n)])
+        assert _same_floats(got, want)
 
 
 def test_norms():

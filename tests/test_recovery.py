@@ -128,6 +128,33 @@ def test_least_squares_exact_with_known_support():
     assert np.abs(result.recovered.values - problem.true_signal.values).max() < 1e-6
 
 
+@pytest.mark.parametrize(
+    "n,size,missing",
+    [
+        (6, 3, [(0, 0), (1, 2), (5, 5)]),
+        (10, 4, [(a, (a * a + 3 * b + 1) % 10) for a in range(10) for b in range(3)]),  # 30 cells
+    ],
+)
+def test_least_squares_exact_on_a_custom_erased_set(n, size, missing):
+    # The Gram is built from the mask's own points, not from the parabola.
+    ring = make_ring(n)
+    vals = sparse_values(ring, spawn_rng(53, n), size)
+    support = tuple((int(i) // n, int(i) % n) for i in np.flatnonzero(vals))
+    problem = erase(Signal2D(ring, vals), unobserved=missing, support_hint=support)
+    assert not np.array_equal(problem.unobserved, erase(Signal2D(ring, vals)).unobserved)
+    result = least_squares_recover(problem)
+    assert result.status == "solved"
+    assert result.exact is True
+    assert np.abs(result.recovered.values - vals).max() < 1e-12
+    assert result.residual < 1e-12
+
+
+def test_logan_params_reject_nonpositive_max_iterations():
+    for cap in (0, -5):
+        with pytest.raises(ValueError, match="max_iterations"):
+            LoganParams(max_iterations=cap)
+
+
 def test_least_squares_needs_hint():
     n = 6
     ring = make_ring(n)
