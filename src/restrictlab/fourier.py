@@ -73,16 +73,35 @@ class Spectrum2D(_Grid):
     """Complex-valued function on the frequency grid (Z/NZ)^2."""
 
 
+def _scaled(out: np.ndarray, n: int) -> np.ndarray:
+    # Multiply the float64 view by 1/n in place.  numpy's complex / n computes
+    # (re + im*0) * (1/n) and (im - re*0) * (1/n), so every nonzero part gets
+    # the same bits; only the sign of a zero part can differ (-0.0 stays -0.0
+    # here where the division gave +0.0).
+    parts = out.view(np.float64)
+    np.multiply(parts, 1.0 / n, out=parts)
+    return out
+
+
 def dft_array(n: int, values: np.ndarray) -> np.ndarray:
-    """Forward transform of one or a batch of (..., N, N) value grids."""
+    """Forward transform of one or a batch of (..., N, N) value grids.
+
+    W @ X @ W scaled by 1/N as a real multiply of the product's float64 view:
+    bit-equal to dividing by N on every nonzero real and imaginary part; only
+    the sign of a zero part can differ.
+    """
     w = _dft_matrix(n)
-    return np.matmul(w, np.matmul(values, w)) / n
+    return _scaled(np.matmul(w, np.matmul(values, w)), n)
 
 
 def idft_array(n: int, values: np.ndarray) -> np.ndarray:
-    """Inverse transform of one or a batch of (..., N, N) value grids."""
+    """Inverse transform of one or a batch of (..., N, N) value grids.
+
+    conj(W) @ X @ conj(W) scaled by 1/N as in dft_array, with the same
+    signed-zero caveat.
+    """
     wc = _idft_matrix(n)
-    return np.matmul(wc, np.matmul(values, wc)) / n
+    return _scaled(np.matmul(wc, np.matmul(values, wc)), n)
 
 
 def dft(f: Signal2D) -> Spectrum2D:

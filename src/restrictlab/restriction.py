@@ -20,12 +20,11 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .families import sparse_values, stride_box_values
-from .fourier import Signal2D, _idft_matrix, dft, dft_array, idft_array, lp_norm
+from .fourier import Signal2D, _idft_matrix, dft, dft_array, lp_norm
 from .parabola import (
     ParabolaSet,
     build_parabola,
     coefficient_vector,
-    embed_coefficients,
     energy_exact,
     extend_from,
     restrict_to,
@@ -86,6 +85,15 @@ def _ratio(lhs: float, rhs: float) -> float:
     return lhs / rhs
 
 
+def _parabola_over(ring: RingContext, sigma: ParabolaSet | None) -> ParabolaSet:
+    """sigma, or the parabola of ring when None; ValueError if the moduli differ."""
+    if sigma is None:
+        return build_parabola(ring)
+    if sigma.ring.modulus != ring.modulus:
+        raise ValueError(f"parabola is mod {sigma.ring.modulus} but the ring is mod {ring.modulus}")
+    return sigma
+
+
 def _signal_norm(values: np.ndarray, r: float, n: int) -> np.ndarray:
     # N^(-d/2) times the counting L^r norm over the last two axes
     return (np.abs(values) ** r).sum(axis=(-2, -1)) ** (1.0 / r) / n
@@ -104,8 +112,7 @@ def restriction_quantities(
     N^(-d/2) times the counting L^r norm of the signal, constant excluded.
     """
     n = ring.modulus
-    if sigma is None:
-        sigma = build_parabola(ring)
+    sigma = _parabola_over(ring, sigma)
     spectra = dft_array(n, values)
     on_parab = spectra[..., sigma.rows, sigma.cols]
     lhs = (np.abs(on_parab) ** s).mean(axis=-1) ** (1.0 / s)
@@ -198,11 +205,31 @@ def universal_certificate(sigma: ParabolaSet) -> UniversalCertificate:
 def _extension_norms(
     ring: RingContext, coefficients: np.ndarray, sigma: ParabolaSet | None, p: float, q: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized L^p and L^q norms of the extensions of coefficient rows (..., N)."""
-    if sigma is None:
-        sigma = build_parabola(ring)
-    a = np.abs(idft_array(ring.modulus, embed_coefficients(sigma, coefficients)))
-    return (a**p).mean(axis=(-2, -1)) ** (1.0 / p), (a**q).mean(axis=(-2, -1)) ** (1.0 / q)
+    """Normalized L^p and L^q norms of the extensions of coefficient rows (..., N).
+
+    The extension of a row c is f = idft(c laid on the parabola), and
+    N f[x1, x2] = sum_t conj(W)[x1, t] c(t) conj(W)[t^2, x2]: one N x N product
+    per row, (conj(W) * c) @ conj(W)[t^2 rows], half the flops of the 2-D
+    inverse transform and no zero grid.  Both norms are homogeneous, so the
+    1/N goes on the results, not on the N^2 cells.  A single row runs as a
+    batch of one, so it gets the same bits as that row inside a batch.
+    """
+    sigma = _parabola_over(ring, sigma)
+    n = ring.modulus
+    c = np.asarray(coefficients, dtype=np.complex128)
+    if c.shape[-1:] != (n,):
+        raise ValueError(f"expected trailing axis {n}, got shape {c.shape}")
+    wc = _idft_matrix(n)
+    rows = c.reshape(-1, n)
+    a = np.abs(np.matmul(wc[:, sigma.rows] * rows[:, None, :], wc[sigma.cols]))
+    a2 = a * a
+
+    def norm(e: float) -> np.ndarray:
+        # the exponents the checks use come from squaring |f|, not from a**e
+        power = a if e == 1 else a2 if e == 2 else a2 * a2 if e == 4 else a**e
+        return (power.mean(axis=(-2, -1)) ** (1.0 / e) / n).reshape(c.shape[:-1])
+
+    return norm(p), norm(q)
 
 
 def _verify_extension(

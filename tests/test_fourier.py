@@ -126,6 +126,31 @@ def test_idft_matches_conjugate_formula_bit_for_bit(n):
         assert np.array_equal(idft_array(n, vals), want)
 
 
+@pytest.mark.parametrize("n", [2, 3, 6, 15, 35, 105])
+def test_scaled_transforms_match_division_by_n(n):
+    # The 1/N is a real multiply on the product's float64 view.  Every nonzero
+    # real or imaginary part must carry the bits of the old complex / n; a zero
+    # part may differ only in its sign, so values compare equal everywhere.
+    rng = spawn_rng(17, n)
+    w = _dft_matrix(n)
+    delta = np.zeros((n, n), dtype=np.complex128)
+    delta[0, 0] = 1.0
+    grids = [
+        rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
+        rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n)),
+        delta,
+        np.stack([delta, np.ones((n, n), dtype=np.complex128)]),
+    ]
+    for vals in grids:
+        for transform, mat in ((dft_array, w), (idft_array, w.conj())):
+            got = transform(n, vals)
+            want = np.matmul(mat, np.matmul(vals, mat)) / n
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            nonzero = want.view(np.float64) != 0.0
+            assert np.array_equal(got.view(np.int64)[nonzero], want.view(np.int64)[nonzero])
+
+
 def test_cached_inverse_matrix_is_read_only():
     wc = _idft_matrix(7)
     assert wc is _idft_matrix(7)

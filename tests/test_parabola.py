@@ -100,6 +100,34 @@ def test_energy_bound_holds_on_random_subsets():
             assert report.energy <= report.bound == 2**ring.omega * size * size
 
 
+def energy_by_reduced_histogram(sigma, idx):
+    """(energy, max_rep) from the pair sums reduced mod N before binning."""
+    n = sigma.ring.modulus
+    a, b = sigma.rows[idx], sigma.cols[idx]
+    s1 = (a[:, None] + a[None, :]) % n
+    s2 = (b[:, None] + b[None, :]) % n
+    counts = np.bincount((s1 * n + s2).ravel(), minlength=n * n).astype(np.int64)
+    return int((counts * counts).sum()), int(counts.max())
+
+
+def test_folded_histogram_matches_reduced_sums():
+    # energy_exact bins unreduced sums into (2N)^2 cells and folds them mod N;
+    # the integers must be those of reducing every pair sum first.
+    for n in range(2, 301):
+        sigma = build_parabola(make_ring(n))
+        report = energy_exact(sigma)
+        assert (report.energy, report.max_rep) == energy_by_reduced_histogram(sigma, np.arange(n))
+    for n in [4, 8, 9, 12, 18, 25, 27, 30, 49, 72, 100, 105, 128, 243]:
+        sigma = build_parabola(make_ring(n))
+        rng = spawn_rng(23, n)
+        for trial in range(10):
+            size = int(rng.integers(1, n + 1))
+            idx = np.sort(rng.choice(n, size=size, replace=False))
+            report = energy_exact(sigma, [int(t) for t in idx])
+            assert (report.energy, report.max_rep) == energy_by_reduced_histogram(sigma, idx)
+            assert report.subset_size == size
+
+
 def test_subset_as_point_pairs():
     sigma = build_parabola(make_ring(7))
     by_param = energy_exact(sigma, [1, 2, 4])

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from restrictlab.families import structured_coefficients, structured_values
-from restrictlab.fourier import Signal2D, dft
-from restrictlab.parabola import build_parabola, extend_from
+from restrictlab.fourier import Signal2D, _dft_matrix, dft, idft_array
+from restrictlab.parabola import build_parabola, embed_coefficients, extend_from
 from restrictlab.restriction import (
     RANK_RTOL,
     RestrictionParams,
@@ -27,6 +27,7 @@ from restrictlab.restriction import (
     verify_restriction,
 )
 from restrictlab.restriction import (
+    _extension_norms,
     _gram_by_gemm,
     _gram_products,
     _grams,
@@ -186,6 +187,64 @@ def test_dual_wrapper_is_a_batch_of_one(n):
     ratios = dual_ratios(ring, coeffs, sigma)
     for c, ratio in zip(coeffs, ratios):
         assert verify_dual(c, sigma).ratio == float(ratio)
+
+
+def _extension_norms_by_inverse_transform(ring, coeffs, sigma, p, q):
+    a = np.abs(idft_array(ring.modulus, embed_coefficients(sigma, coeffs)))
+    return (a**p).mean(axis=(-2, -1)) ** (1.0 / p), (a**q).mean(axis=(-2, -1)) ** (1.0 / q)
+
+
+@pytest.mark.parametrize("n", [n for n in range(2, 61) if make_ring(n).squarefree] + [105])
+def test_extension_kernel_matches_inverse_transform(n):
+    # One N x N product per coefficient row gives the norms of the embedded
+    # grid's inverse transform, for every batch shape and both exponent pairs.
+    ring = make_ring(n)
+    sigma = build_parabola(ring)
+    rng = spawn_rng(38, n)
+    for shape in ((n,), (4, n), (2, 3, n)):
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for p, q in ((4, 2), (2, 1)):
+            got = _extension_norms(ring, coeffs, sigma, p, q)
+            want = _extension_norms_by_inverse_transform(ring, coeffs, sigma, p, q)
+            for g, w in zip(got, want):
+                assert g.shape == shape[:-1]
+                np.testing.assert_allclose(g, w, rtol=1e-13, atol=0.0)
+    coeffs = rng.standard_normal((3, n)) + 0j
+    coeffs[1] = 0.0
+    ratios = dual_ratios(ring, coeffs, sigma)
+    assert ratios[1] == 0.0 and ratios[0] > 0.0 and ratios[2] > 0.0
+
+
+@pytest.mark.parametrize("n", [6, 15, 35, 105])
+def test_restriction_lhs_matches_dense_transform_bit_for_bit(n):
+    # lhs from the scaled transform equals the W @ X @ W / N formula read on
+    # the parabola, bit for bit, on single grids and batches.
+    ring = make_ring(n)
+    sigma = build_parabola(ring)
+    w = _dft_matrix(n)
+    rng = spawn_rng(39, n)
+    for shape in ((n, n), (5, n, n)):
+        vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        on_parab = (np.matmul(w, np.matmul(vals, w)) / n)[..., sigma.rows, sigma.cols]
+        want = (np.abs(on_parab) ** 2.0).mean(axis=-1) ** 0.5
+        lhs, _ = restriction_quantities(ring, vals, sigma)
+        assert lhs.shape == shape[:-2]
+        assert np.array_equal(lhs, want)
+
+
+@pytest.mark.parametrize("other", [5, 21])
+def test_kernels_reject_parabola_of_another_modulus(other):
+    ring = make_ring(15)
+    sigma = build_parabola(make_ring(other))
+    message = rf"mod {other}\b.*mod 15\b"
+    with pytest.raises(ValueError, match=message):
+        restriction_quantities(ring, np.ones((15, 15)), sigma)
+    with pytest.raises(ValueError, match=message):
+        restriction_quantities(ring, np.ones((2, 15, 15)), sigma)
+    with pytest.raises(ValueError, match=message):
+        dual_ratios(ring, np.ones((2, 15)), sigma)
+    with pytest.raises(ValueError, match=message):
+        verify_restriction(Signal2D(ring, np.ones((15, 15))), sigma)
 
 
 def test_extension_wrappers_check_coefficients():
