@@ -145,8 +145,6 @@ def _grid_from_json_dict(data: dict) -> tuple[RingContext, np.ndarray]:
     pairs = np.array(data["values"], dtype=float)
     if pairs.shape != (n * n, 2):
         raise ValueError(f"expected {n * n} [re, im] pairs for n={n}, got shape {pairs.shape}")
-    if not np.all(np.isfinite(pairs)):
-        raise ValueError("values must be finite")
     return ring, pairs.view(np.complex128).reshape(n, n)
 
 

@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fourier import Signal2D, Spectrum2D, _dft_matrix, idft_array
+from .fourier import Signal2D, Spectrum2D, _dft_matrix, _idft_matrix, _scaled
 from .zmod import RingContext
 
 
@@ -83,6 +83,9 @@ def decay_profile(sigma: ParabolaSet) -> DecayProfile:
     one product W @ W[t^2 rows] gives the whole profile.  For prime N the
     worst ratio |S(m)|/sqrt(N) is 1; composite squarefree N exceeds it.
     """
+    # Its own product, not _extension_kernel's: that one reads conj(W), which
+    # over a range of moduli fills a second matrix cache, and its scaling of
+    # the columns by c makes this one product about 1.5x slower.
     n = sigma.ring.modulus
     w = _dft_matrix(n)
     mags = np.abs(w @ w[sigma.cols])
@@ -150,7 +153,7 @@ def energy_exact(sigma: ParabolaSet, subset: Iterable | None = None) -> EnergyRe
 def restrict_to(sigma: ParabolaSet, spectrum: Spectrum2D) -> np.ndarray:
     """Values of a spectrum on the parabola, in t order."""
     if spectrum.ring.modulus != sigma.ring.modulus:
-        raise ValueError("spectrum and parabola live over different moduli")
+        raise ValueError(f"parabola is mod {sigma.ring.modulus} but the spectrum is mod {spectrum.ring.modulus}")
     return spectrum.values[sigma.rows, sigma.cols].copy()
 
 
@@ -167,14 +170,27 @@ def coefficient_vector(
     return c
 
 
+def _extension_kernel(sigma: ParabolaSet, rows: np.ndarray) -> np.ndarray:
+    """N times the extension of each coefficient row of a (B, N) batch: (B, N, N).
+
+    N f[x1, x2] = sum_t conj(W)[x1, t] c(t) conj(W)[t^2, x2], so each row is
+    one N x N product (conj(W) * c) @ conj(W)[t^2 rows]: half the flops of
+    the 2-D inverse transform of c laid on the parabola, and no zero grid.
+    The 1/N is left to the caller, which can put it on fewer numbers.
+    """
+    wc = _idft_matrix(sigma.ring.modulus)
+    return np.matmul(wc[:, sigma.rows] * rows[:, None, :], wc[sigma.cols])
+
+
 def extend_from(sigma: ParabolaSet, coefficients: Sequence[complex] | np.ndarray) -> Signal2D:
     """The unique signal whose spectrum equals c on the parabola and 0 off it.
 
     This is the adjoint of restrict_to composed with the inverse transform:
     f(x) = (1/N) sum_t c(t) exp(+2 pi i <x, (t, t^2)> / N).
     """
-    grid = embed_coefficients(sigma, coefficient_vector(sigma, coefficients))
-    return Signal2D(sigma.ring, idft_array(sigma.ring.modulus, grid))
+    n = sigma.ring.modulus
+    c = coefficient_vector(sigma, coefficients)
+    return Signal2D(sigma.ring, _scaled(_extension_kernel(sigma, c[None])[0], n))
 
 
 def embed_coefficients(sigma: ParabolaSet, coefficients: np.ndarray) -> np.ndarray:

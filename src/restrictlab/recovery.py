@@ -22,6 +22,22 @@ from .parabola import ParabolaSet, build_parabola
 from .rng import spawn_rng
 from .zmod import RingContext
 
+# Douglas-Rachford step: the soft-threshold level of each shrink.
+STEP = 1.0
+# A stalled solve stops once its shrink iterate misfits the observed
+# spectrum by at most this, relative to the observations' norm.
+FEASIBILITY_TOL = 1e-9
+# The objective has stalled when it moved by at most this, relative,
+# over the last STALL_WINDOW iterations.
+OBJECTIVE_TOL = 1e-9
+# Iterations between the two objectives the stall test compares.
+STALL_WINDOW = 50
+# A recovered signal is exact when no cell is farther than this from the truth.
+EXACT_TOL = 1e-6
+# A converged miss whose l1 value is this close, relative, to the truth's is
+# reported as non_unique: both are minimizers.
+TIE_TOL = 1e-6
+
 
 def _as_mask(ring: RingContext, unobserved) -> np.ndarray:
     n = ring.modulus
@@ -82,13 +98,16 @@ def erase(
     mask = _as_mask(f.ring, unobserved)
     spectrum = dft_array(n, f.values).copy()
     spectrum[mask] = 0.0
-    return RecoveryProblem(
+    problem = RecoveryProblem(
         ring=f.ring,
         unobserved=mask,
         observed=Spectrum2D(f.ring, spectrum),
-        true_signal=f,
         support_hint=tuple((int(a), int(b)) for a, b in support_hint) if support_hint else None,
     )
+    # f's spectrum is the observation off S by construction, so the truth is
+    # attached after __post_init__ instead of being transformed again there.
+    object.__setattr__(problem, "true_signal", f)
+    return problem
 
 
 def project_feasible(u: Signal2D, problem: RecoveryProblem) -> Signal2D:
@@ -107,15 +126,13 @@ def project_feasible(u: Signal2D, problem: RecoveryProblem) -> Signal2D:
 
 @dataclass(frozen=True)
 class LoganParams:
-    """Tunables for the l1 solver; defaults match the documented contract."""
+    """The l1 solver's one setting, its iteration cap.
 
-    step: float = 1.0
+    Step, stall and tolerance values are the module constants STEP,
+    FEASIBILITY_TOL, OBJECTIVE_TOL, STALL_WINDOW, EXACT_TOL and TIE_TOL.
+    """
+
     max_iterations: int = 20000
-    feasibility_tol: float = 1e-9
-    objective_tol: float = 1e-9
-    window: int = 50
-    exact_tol: float = 1e-6
-    tie_tol: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
@@ -134,7 +151,7 @@ class RecoveryResult:
     status: str  # converged | max_iterations | non_unique | solved | singular
 
 
-def _fit(problem: RecoveryProblem, values: np.ndarray, exact_tol: float) -> tuple[float, bool | None]:
+def _fit(problem: RecoveryProblem, values: np.ndarray) -> tuple[float, bool | None]:
     """Relative misfit of values' spectrum off S, and agreement with the truth (None without one)."""
     off = ~problem.unobserved
     obs_off = problem.observed.values[off]
@@ -142,7 +159,7 @@ def _fit(problem: RecoveryProblem, values: np.ndarray, exact_tol: float) -> tupl
     residual = float(np.linalg.norm(spectrum[off] - obs_off)) / max(1.0, float(np.linalg.norm(obs_off)))
     if problem.true_signal is None:
         return residual, None
-    return residual, bool(np.abs(values - problem.true_signal.values).max() <= exact_tol)
+    return residual, bool(np.abs(values - problem.true_signal.values).max() <= EXACT_TOL)
 
 
 def logan_recover(problem: RecoveryProblem, params: LoganParams = LoganParams()) -> RecoveryResult:
@@ -152,9 +169,9 @@ def logan_recover(problem: RecoveryProblem, params: LoganParams = LoganParams())
     data projection.  Every z is feasible; the best one seen (by l1 value) is
     returned, so the reported objective never exceeds that of any feasible
     iterate encountered.  Stops once the objective has stalled over the
-    trailing window and the shrink iterate is feasible to feasibility_tol (the
-    feasibility residual is evaluated only once the objective has stalled),
-    or at max_iterations with a distinct status.
+    trailing STALL_WINDOW and the shrink iterate is feasible to
+    FEASIBILITY_TOL (the feasibility residual is evaluated only once the
+    objective has stalled), or at max_iterations with a distinct status.
     """
     ring = problem.ring
     n = ring.modulus
@@ -166,7 +183,7 @@ def logan_recover(problem: RecoveryProblem, params: LoganParams = LoganParams())
     yhat = np.where(off, obs, 0.0)
     y = idft_array(n, yhat)
     # Buffers reused by every iteration: mag holds |y| and then the shrink
-    # factor max(1 - step / max(|y|, 1e-300), 0), which keeps the phase of y.
+    # factor max(1 - STEP / max(|y|, 1e-300), 0), which keeps the phase of y.
     mag = np.empty((n, n))
     x = np.empty((n, n), dtype=np.complex128)
     best_obj = np.inf
@@ -177,7 +194,7 @@ def logan_recover(problem: RecoveryProblem, params: LoganParams = LoganParams())
     for k in range(1, params.max_iterations + 1):
         np.abs(y, out=mag)
         np.maximum(mag, 1e-300, out=mag)
-        np.divide(params.step, mag, out=mag)
+        np.divide(STEP, mag, out=mag)
         np.subtract(1.0, mag, out=mag)
         np.maximum(mag, 0.0, out=mag)
         np.multiply(y, mag, out=x)
@@ -194,20 +211,20 @@ def logan_recover(problem: RecoveryProblem, params: LoganParams = LoganParams())
         if obj < best_obj:
             best_obj, best_z = obj, z
         objectives.append(obj)
-        if len(objectives) > params.window:
-            prev = objectives[-1 - params.window]
-            if abs(obj - prev) <= params.objective_tol * max(1.0, abs(obj)):
+        if len(objectives) > STALL_WINDOW:
+            prev = objectives[-1 - STALL_WINDOW]
+            if abs(obj - prev) <= OBJECTIVE_TOL * max(1.0, abs(obj)):
                 residual = float(np.linalg.norm(xhat[off] - obs_off)) / obs_norm
-                if residual <= params.feasibility_tol:
+                if residual <= FEASIBILITY_TOL:
                     status = "converged"
                     iterations = k
                     break
 
     assert best_z is not None
-    final_residual, exact = _fit(problem, best_z, params.exact_tol)
+    final_residual, exact = _fit(problem, best_z)
     if status == "converged" and exact is False:
         truth_obj = float(np.abs(problem.true_signal.values).sum())
-        if abs(best_obj - truth_obj) <= params.tie_tol * max(1.0, truth_obj):
+        if abs(best_obj - truth_obj) <= TIE_TOL * max(1.0, truth_obj):
             status = "non_unique"
     return RecoveryResult(
         recovered=Signal2D(ring, best_z),
@@ -241,7 +258,7 @@ def least_squares_recover(problem: RecoveryProblem) -> RecoveryResult:
     singular = bool(sv[-1] <= 1e-12 * max(float(sv[0]), 1e-12))
     vals = np.zeros((n, n), dtype=np.complex128)
     vals[x1, x2] = coeffs
-    residual, exact = _fit(problem, vals, 1e-6)
+    residual, exact = _fit(problem, vals)
     return RecoveryResult(
         recovered=Signal2D(ring, vals),
         iterations=1,

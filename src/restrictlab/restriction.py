@@ -23,6 +23,7 @@ from .families import sparse_values, stride_box_values
 from .fourier import Signal2D, _idft_matrix, dft, dft_array, lp_norm
 from .parabola import (
     ParabolaSet,
+    _extension_kernel,
     build_parabola,
     coefficient_vector,
     energy_exact,
@@ -75,7 +76,7 @@ def restriction_lhs(spectrum, sigma: ParabolaSet, s: float = 2.0) -> float:
     """((1/|Sigma|) sum_t |F(t, t^2)|^s)^(1/s) for a spectrum F."""
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    vals = spectrum.values[sigma.rows, sigma.cols]
+    vals = restrict_to(sigma, spectrum)
     return float((np.abs(vals) ** s).mean() ** (1.0 / s))
 
 
@@ -207,21 +208,17 @@ def _extension_norms(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Normalized L^p and L^q norms of the extensions of coefficient rows (..., N).
 
-    The extension of a row c is f = idft(c laid on the parabola), and
-    N f[x1, x2] = sum_t conj(W)[x1, t] c(t) conj(W)[t^2, x2]: one N x N product
-    per row, (conj(W) * c) @ conj(W)[t^2 rows], half the flops of the 2-D
-    inverse transform and no zero grid.  Both norms are homogeneous, so the
-    1/N goes on the results, not on the N^2 cells.  A single row runs as a
-    batch of one, so it gets the same bits as that row inside a batch.
+    The rows go through parabola's extension kernel as one (B, N) batch.
+    Both norms are homogeneous, so its 1/N goes on the results, not on the
+    N^2 cells.  A single row runs as a batch of one, so it gets the same bits
+    as that row inside a batch.
     """
     sigma = _parabola_over(ring, sigma)
     n = ring.modulus
     c = np.asarray(coefficients, dtype=np.complex128)
     if c.shape[-1:] != (n,):
         raise ValueError(f"expected trailing axis {n}, got shape {c.shape}")
-    wc = _idft_matrix(n)
-    rows = c.reshape(-1, n)
-    a = np.abs(np.matmul(wc[:, sigma.rows] * rows[:, None, :], wc[sigma.cols]))
+    a = np.abs(_extension_kernel(sigma, c.reshape(-1, n)))
     a2 = a * a
 
     def norm(e: float) -> np.ndarray:

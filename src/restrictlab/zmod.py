@@ -100,14 +100,15 @@ def tonelli_shanks(c: int, p: int) -> int:
 
 
 def _prime_roots(c: int, p: int) -> tuple[int, ...]:
-    # roots of z^2 = c mod p; direct scan below 64, Tonelli-Shanks above
+    """All z in [0, p) with z^2 = c (mod p) for a prime p, ascending.
+
+    p = 2 and c = 0 have the one root c; for odd p and c != 0, Euler's
+    criterion decides whether roots exist, and Tonelli-Shanks finds r and
+    p - r.
+    """
     c %= p
-    if p == 2:
+    if p == 2 or c == 0:
         return (c,)
-    if c == 0:
-        return (0,)
-    if p < 64:
-        return tuple(z for z in range(p) if (z * z) % p == c)
     if pow(c, (p - 1) // 2, p) != 1:
         return ()
     r = tonelli_shanks(c, p)

@@ -284,6 +284,28 @@ def test_unreadable_input_and_unwritable_output_are_usage_errors(tmp_path, capsy
     assert not missing.exists()
 
 
+def test_restrict_verify_at_six_fifths(tmp_path):
+    out = tmp_path / "verify.csv"
+    assert main(["restrict-verify", "--n", "15", "--r", "6/5", "--trials", "50", "--output", str(out)]) == 0
+    header, rows = rows_of(out)
+    assert rows
+    column = {name: [row[header.index(name)] for row in rows] for name in ("r", "constant", "satisfied")}
+    assert set(column["r"]) == {"1.2"}
+    assert set(column["constant"]) == {""}
+    assert set(column["satisfied"]) == {"true"}
+
+
+def test_recover_rejects_non_finite_input(tmp_path, capsys):
+    for bad in ("NaN", "Infinity"):
+        sig = tmp_path / "sig.json"
+        sig.write_text('{"n": 3, "values": [' + "[0.0, 0.0], " * 8 + "[" + bad + ", 0.0]]}")
+        assert main(["recover", "--n", "3", "--input", str(sig)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = captured.err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: ")
+
+
 def test_recover_rejects_malformed_pairs(tmp_path):
     for pair in ([1.0], [1.0, 2.0, 3.0], ["x", 0.0]):
         sig = tmp_path / "sig.json"

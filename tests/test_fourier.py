@@ -273,6 +273,16 @@ def test_json_pair_must_be_two_numbers(pair):
         signal_from_json(json.dumps({"n": 3, "values": values}))
 
 
+@pytest.mark.parametrize("load", [signal_from_json, spectrum_from_json])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_json_non_finite_values_rejected(load, bad):
+    # json writes these as NaN / Infinity and reads them back; the grid rejects them
+    text = json.dumps({"n": 3, "values": [[0.0, 0.0]] * 8 + [[0.0, bad]]})
+    assert "NaN" in text or "Infinity" in text
+    with pytest.raises(ValueError, match="finite"):
+        load(text)
+
+
 def test_json_values_load_exactly():
     values = [[0.0, -0.0], [-0.0, 0.0], [1.5, -2.5], [1e-300, 3.0]]
     f = signal_from_json(json.dumps({"n": 2, "values": values}))

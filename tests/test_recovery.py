@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from restrictlab import recovery
 from restrictlab.families import sparse_values
-from restrictlab.fourier import Signal2D, Spectrum2D, dft
+from restrictlab.fourier import Signal2D, Spectrum2D, dft, dft_array
 from restrictlab.parabola import build_parabola, extend_from
 from restrictlab.recovery import (
     LoganParams,
@@ -62,6 +63,31 @@ def test_problem_rejects_observed_data_in_the_hole():
     mask[sigma.rows, sigma.cols] = True
     with pytest.raises(ValueError):
         RecoveryProblem(ring, mask, Spectrum2D(ring, bad))
+
+
+def test_problem_rejects_a_truth_that_disagrees_off_the_hole():
+    n = 5
+    ring = make_ring(n)
+    truth = Signal2D(ring, spawn_rng(43, n).standard_normal((n, n)))
+    problem = erase(truth)
+    RecoveryProblem(ring, problem.unobserved, problem.observed, true_signal=truth)
+    moved = truth.values.copy()
+    moved[0, 0] += 1e-6
+    with pytest.raises(ValueError, match="disagrees"):
+        RecoveryProblem(ring, problem.unobserved, problem.observed, true_signal=Signal2D(ring, moved))
+
+
+def test_erase_transforms_once(monkeypatch):
+    calls = []
+
+    def counting(n, values):
+        calls.append(n)
+        return dft_array(n, values)
+
+    monkeypatch.setattr(recovery, "dft_array", counting)
+    problem = _planted(15, 4, 44)
+    assert calls == [15]
+    assert problem.true_signal is not None
 
 
 def test_projection_is_idempotent_and_feasible():

@@ -213,6 +213,14 @@ def test_extension_kernel_matches_inverse_transform(n):
     coeffs[1] = 0.0
     ratios = dual_ratios(ring, coeffs, sigma)
     assert ratios[1] == 0.0 and ratios[0] > 0.0 and ratios[2] > 0.0
+    # extend_from runs the same kernel: within 1e-13 of the largest value on
+    # a random row (single cells cancel), and the same bits on the constant
+    # and delta vectors that the trajectory pins use
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    want = idft_array(n, embed_coefficients(sigma, c))
+    assert np.abs(extend_from(sigma, c).values - want).max() <= 1e-13 * np.abs(want).max()
+    for c in [np.ones(n)] + list(np.eye(n)):
+        assert np.array_equal(extend_from(sigma, c).values, idft_array(n, embed_coefficients(sigma, c)))
 
 
 @pytest.mark.parametrize("n", [6, 15, 35, 105])
@@ -245,6 +253,8 @@ def test_kernels_reject_parabola_of_another_modulus(other):
         dual_ratios(ring, np.ones((2, 15)), sigma)
     with pytest.raises(ValueError, match=message):
         verify_restriction(Signal2D(ring, np.ones((15, 15))), sigma)
+    with pytest.raises(ValueError, match=message):
+        restriction_lhs(dft(Signal2D(ring, np.ones((15, 15)))), sigma)
 
 
 def test_extension_wrappers_check_coefficients():

@@ -92,7 +92,7 @@ def _roots_by_scan(c, n):
     return tuple(x for x in range(n) if x * x % n == c % n)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 9, 12, 15, 21, 30, 35, 36, 105])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 9, 12, 15, 21, 30, 35, 36, 67, 105, 134, 303])
 def test_square_roots_match_scan(n):
     ring = make_ring(n)
     for c in range(n):
