@@ -371,6 +371,26 @@ def _gram_by_gemm(n: int, batch: int, k: int) -> bool:
     return 2 * n**4 + batch * n * n <= 2 * batch * k * n
 
 
+_CHUNK_BYTES = 256 << 20  # per-chunk budget for the Grams and what builds them
+
+
+def _chunk_size(n: int, k: int, batch: int) -> int:
+    """Supports per chunk: batch, capped so a chunk's arrays fit in _CHUNK_BYTES.
+
+    A chunk holds its (B, N, N) complex Grams (16 N^2 bytes a support) and
+    either the float64 indicator (8 N^2) or the (B, k, N) complex row stack
+    (16 k N), whichever build _gram_by_gemm picks; the larger of the two is
+    counted, so the cap holds for both.  The random draw's B x N^2 uniforms
+    and partition indices (16 N^2) are freed before the Grams are built.
+    The verdict does not depend on the chunk size: the generator's draws
+    split sequentially and the minimum over chunks is exact.  min_margin can
+    move in its last bits, because BLAS may round a row of the one-GEMM build
+    differently at another chunk size, and the cap can switch the build.
+    """
+    per_support = 16 * n * n + max(8 * n * n, 16 * k * n)
+    return max(1, min(batch, _CHUNK_BYTES // per_support))
+
+
 def _grams(ext: np.ndarray, supports: np.ndarray, products: np.ndarray | None) -> np.ndarray:
     """(B, N, N) Grams E_T^H E_T, one per support row; gathers rows if products is None."""
     if products is None:
@@ -393,42 +413,99 @@ def _margins(gram: np.ndarray) -> np.ndarray:
 
 
 _SCREEN_PROBE = 64  # Grams solved first to set the screening level
-_SCREEN_SLACK = 1e-12  # covers rounding in the bound and in eigvalsh
+_SCREEN_SLACK = 1e-12  # covers rounding in eigvalsh (and in the first-stage bound)
+_POWER_SLACK = 16 * np.finfo(float).eps  # times N^2 ||G||_F^4: rounding in the G^4 bound
+_SLICE_BYTES = 1 << 20  # bytes of Grams per second-stage slice; small slices stay in cache
 
 
-def _lambda_max_bound(gram: np.ndarray, k: int) -> np.ndarray:
-    """Wolkowicz-Styan upper bound on lambda_max of each Gram of |T| = k rows.
+def _frobenius2(m: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each matrix of a (B, N, N) complex batch."""
+    flat = m.reshape(m.shape[0], -1).view(np.float64)
+    return np.einsum("ij,ij->i", flat, flat)
+
+
+def _wolkowicz_styan(tau: float | np.ndarray, spread: np.ndarray, r: int) -> np.ndarray:
+    """Upper bound on the largest of r reals with sum tau and sum of squared deviations spread.
+
+    max <= tau/r + sqrt((r-1)/r * spread) (Wolkowicz and Styan, Linear
+    Algebra Appl. 29, 1980); equality when the other r - 1 values are equal.
+    """
+    return tau / r + np.sqrt(np.clip((r - 1) / r * spread, 0.0, None))
+
+
+def _lambda_max_bound(phi2: np.ndarray, k: int, n: int) -> np.ndarray:
+    """First stage: bound on lambda_max of each Gram of |T| = k rows from phi2 = ||G||_F^2.
 
     G = E_T^H E_T has rank at most r = min(k, N), so its r largest
     eigenvalues carry its trace tau = k/N (exact: every row of E has squared
-    norm 1/N) and its squared Frobenius norm phi^2.  For r reals with that sum
-    and sum of squares, max <= tau/r + sqrt((r-1)/r * (phi^2 - tau^2/r))
-    (Wolkowicz and Styan, Linear Algebra Appl. 29, 1980).
+    norm 1/N) and its squared Frobenius norm phi^2; their spread about the
+    mean is phi^2 - tau^2/r.  This cuts well while k is at most about N; at
+    the zone edge k is near N^2/2^omega and the bound exceeds every level.
     """
-    b, n, _ = gram.shape
     r = min(k, n)
     tau = k / n
-    flat = gram.reshape(b, -1).view(np.float64)
-    phi2 = np.einsum("ij,ij->i", flat, flat)
-    return tau / r + np.sqrt(np.clip((r - 1) / r * (phi2 - tau * tau / r), 0.0, None))
+    return _wolkowicz_styan(tau, phi2 - tau * tau / r, r)
+
+
+def _fourth_power_bound(gram: np.ndarray, phi2: np.ndarray) -> np.ndarray:
+    """Second stage: bound on lambda_max of each Gram from the same bound on G^4.
+
+    G^4 has the eigenvalues lambda^4, trace ||G^2||_F^2 and spread
+    ||G^4 - (tr/N) I||_F^2 about its mean; Wolkowicz-Styan over all N of them
+    (valid at any rank) bounds lambda_max^4, and the fourth root bounds
+    lambda_max.  Raising to the fourth power pulls the top eigenvalue away
+    from the rest, so the bound is far tighter than the first stage's, for
+    two batched N x N products per Gram.
+
+    Slack.  Let eps = 2^-52 and F = ||G||_F^2 (phi2).  A complex N x N
+    product errs by at most 2N eps ||X||_F ||Y||_F in Frobenius norm, so the
+    computed G^2 is off by 2N eps F and G^4 by 6N eps F^2, and the trace, a
+    sum of 2N^2 squares of the computed G^2, by (N^2 + 4N) eps F^2.  The
+    spread is formed centered, as the norm of G^4 - (tr/N) I, so these
+    errors move its square root by at most their own size (triangle
+    inequality): no difference of two near-equal sums of squares loses
+    digits.  (The uncentered ||G^4||_F^2 - tr^2/N would put an error of
+    about N sqrt(eps) F^2 on the bound when the eigenvalues are nearly
+    equal.)  With the rounding of that norm itself, the bound on
+    lambda_max^4 is off by less than 8 N^2 eps F^2 for every N >= 2;
+    _POWER_SLACK adds twice that before the fourth root.  eigvalsh's own
+    error is covered by _SCREEN_SLACK where the bound is compared.
+    """
+    b, n, _ = gram.shape
+    g2 = np.matmul(gram, gram)
+    tau = _frobenius2(g2)
+    g4 = np.matmul(g2, g2)
+    g4.reshape(b, -1)[:, :: n + 1] -= (tau / n)[:, None]
+    bound4 = _wolkowicz_styan(tau, _frobenius2(g4), n)
+    return (bound4 + _POWER_SLACK * n * n * phi2 * phi2) ** 0.25
 
 
 def _min_margin(gram: np.ndarray, k: int) -> float:
     """min(_margins(gram)), solving only the Grams whose bound can reach the minimum.
 
-    The Grams with the largest bounds are solved first; their largest
-    lambda_max L is a lower bound on the chunk's, so a Gram whose bound is
-    below L cannot hold it.  The survivors go through the same eigvalsh, so
-    the result is the unscreened minimum, not an estimate.
+    The Grams with the largest first-stage bounds are solved first; their
+    largest lambda_max L is a lower bound on the chunk's, so a Gram whose
+    bound plus slack is below L cannot hold it.  The first stage is one
+    Frobenius norm per Gram.  Its survivors go to the second stage, the
+    fourth-power bound, in slices of at most _SLICE_BYTES of Grams so that
+    its two products stay small next to the chunk.  Only the second stage's
+    survivors go through the same eigvalsh, so the result is the unscreened
+    minimum, not an estimate.
     """
-    if gram.shape[0] > _SCREEN_PROBE:
-        bound = _lambda_max_bound(gram, k)
-        probe = np.argpartition(bound, -_SCREEN_PROBE)[-_SCREEN_PROBE:]
-        level = np.linalg.eigvalsh(gram[probe])[:, -1].max()
-        keep = bound + _SCREEN_SLACK >= level
-        if not keep.all():
-            gram = gram[keep]
-    return float(_margins(gram).min())
+    if gram.shape[0] <= _SCREEN_PROBE:
+        return float(_margins(gram).min())
+    n = gram.shape[1]
+    phi2 = _frobenius2(gram)
+    bound = _lambda_max_bound(phi2, k, n)
+    probe = np.argpartition(bound, -_SCREEN_PROBE)[-_SCREEN_PROBE:]
+    level = np.linalg.eigvalsh(gram[probe])[:, -1].max()
+    alive = np.flatnonzero(bound + _SCREEN_SLACK >= level)
+    step = max(1, _SLICE_BYTES // gram[0].nbytes)
+    keep = []
+    for i in range(0, alive.size, step):
+        s = alive[i : i + step]
+        keep.append(s[_fourth_power_bound(gram[s], phi2[s]) + _SCREEN_SLACK >= level])
+    return float(_margins(gram[np.concatenate(keep)]).min())
 
 
 def _scan_chunk(
@@ -482,6 +559,8 @@ def uncertainty_search(
     C(N^2, max_support) when nothing is found; on a find it counts only the
     representatives scanned so far.  The randomized path draws samples
     supports and rejects samples < 1: zero draws would decide nothing.
+    Supports go in chunks of at most batch, fewer where a chunk's arrays
+    would pass _CHUNK_BYTES (_chunk_size).
     """
     ring = sigma.ring
     if not ring.squarefree:
@@ -500,13 +579,14 @@ def uncertainty_search(
     if not exhaustive and samples < 1:
         raise ValueError(f"the randomized search needs samples >= 1, got {samples}")
     scanned = math.comb(universe - 1, max_support - 1) if exhaustive else samples
-    products = _gram_products(ext) if _gram_by_gemm(n, min(batch, scanned), max_support) else None
+    chunk = _chunk_size(n, max_support, min(batch, scanned))
+    products = _gram_products(ext) if _gram_by_gemm(n, chunk, max_support) else None
 
     def chunks() -> Iterator[np.ndarray]:
         if exhaustive:
             it = ((0,) + c for c in itertools.combinations(range(1, universe), max_support - 1))
             while True:
-                block = list(itertools.islice(it, batch))
+                block = list(itertools.islice(it, chunk))
                 if not block:
                     return
                 yield np.array(block, dtype=np.intp)
@@ -514,7 +594,7 @@ def uncertainty_search(
             rng = spawn_rng(seed, n, max_support)
             remaining = samples
             while remaining > 0:
-                take = min(batch, remaining)
+                take = min(chunk, remaining)
                 remaining -= take
                 yield _random_supports(rng, take, universe, max_support)
 

@@ -77,6 +77,11 @@ def tonelli_shanks(c: int, p: int) -> int:
         return 0
     if pow(c, (p - 1) // 2, p) != 1:
         raise ValueError(f"{c} is not a quadratic residue mod {p}")
+    return _residue_root(c, p)
+
+
+def _residue_root(c: int, p: int) -> int:
+    """Tonelli-Shanks for c in [1, p) already known to be a residue mod the odd prime p."""
     if p % 4 == 3:
         return pow(c, (p + 1) // 4, p)
     # write p-1 = q * 2^s with q odd
@@ -104,14 +109,14 @@ def _prime_roots(c: int, p: int) -> tuple[int, ...]:
 
     p = 2 and c = 0 have the one root c; for odd p and c != 0, Euler's
     criterion decides whether roots exist, and Tonelli-Shanks finds r and
-    p - r.
+    p - r without applying the criterion again.
     """
     c %= p
     if p == 2 or c == 0:
         return (c,)
     if pow(c, (p - 1) // 2, p) != 1:
         return ()
-    r = tonelli_shanks(c, p)
+    r = _residue_root(c, p)
     return tuple(sorted((r, p - r)))
 
 

@@ -26,11 +26,18 @@ from restrictlab.restriction import (
     verify_main_theorem,
     verify_restriction,
 )
+from restrictlab import restriction
 from restrictlab.restriction import (
+    _CHUNK_BYTES,
+    _SCREEN_SLACK,
+    _chunk_size,
     _extension_norms,
+    _fourth_power_bound,
+    _frobenius2,
     _gram_by_gemm,
     _gram_products,
     _grams,
+    _lambda_max_bound,
     _margins,
     _min_margin,
     _random_supports,
@@ -382,17 +389,50 @@ def _support_batch(n, k, count, seed):
     return _random_supports(np.random.default_rng(seed), count, n * n, k)
 
 
-@pytest.mark.parametrize("n", [3, 6, 10, 15])
+def _zone_edge(n):
+    return math.ceil(n * n / 2 ** make_ring(n).omega) - 1
+
+
+@pytest.mark.parametrize("n", [3, 6, 10, 14, 15])
 def test_screened_min_margin_is_the_unscreened_minimum(n):
     ext = extension_matrix(build_parabola(make_ring(n)))
     products = _gram_products(ext)
-    for k in (n - 1, n, min(n + 3, n * n - 1)):
+    for k in (n - 1, n, min(n + 3, n * n - 1), _zone_edge(n)):
         supports = _support_batch(n, k, 500, seed=10 * n + k)
         gathered = _grams(ext, supports, None)
         gemm = _grams(ext, supports, products)
         assert np.allclose(gemm, gathered, atol=1e-14)
         for gram in (gathered, gemm):
             assert _min_margin(gram, k) == _margins(gram).min()
+
+
+@pytest.mark.parametrize("n", [3, 6, 10, 14, 15, 21, 22, 30])
+def test_screening_bounds_are_sound(n):
+    # Both stages must bound eigvalsh's lambda_max on every Gram: random
+    # supports of each size up to the zone edge; m whole lines (Grams
+    # (m/N) I and block-diagonal ones, where the fourth-power bound is
+    # tight); and supports of N^2 - 2 .. N^2 cells, rank deficient with
+    # lambda_max = 1.  The fourth-power bound must hold with its own slack,
+    # without the eigvalsh slack the screen adds.
+    ext = extension_matrix(build_parabola(make_ring(n)))
+    products = _gram_products(ext)
+    rng = np.random.default_rng(n)
+    count = 8 if n <= 15 else 3
+    cells = np.arange(n * n).reshape(n, n)
+    batches = [_support_batch(n, k, count, seed=n * k) for k in range(1, _zone_edge(n) + 1)]
+    batches += [cells[:m].reshape(1, -1) for m in range(1, n + 1)]
+    batches += [cells[:, :m].T.reshape(1, -1) for m in range(1, n + 1)]
+    batches += [rng.permuted(np.tile(cells.ravel(), (3, 1)), axis=1)[:, : n * n - off] for off in (0, 1, 2)]
+    tightest = np.inf
+    for supports in batches:
+        for gram in (_grams(ext, supports, None), _grams(ext, supports, products)):
+            lam = np.linalg.eigvalsh(gram)[:, -1]
+            phi2 = _frobenius2(gram)
+            fourth = _fourth_power_bound(gram, phi2)
+            assert np.all(fourth >= lam)
+            assert np.all(_lambda_max_bound(phi2, supports.shape[1], n) + _SCREEN_SLACK >= lam)
+            tightest = min(tightest, (fourth - lam).min())
+    assert tightest < 1e-12  # the tight cases were reached
 
 
 def test_margins_match_direct_svd():
@@ -430,6 +470,61 @@ def test_gram_by_gemm_choice():
             for k in (1, 4, n, n * n // 4):
                 if _gram_by_gemm(n, b, k):
                     assert n**3 <= b * k  # P is no larger than the gather
+
+
+@pytest.mark.parametrize("n", [10, 14, 15])
+def test_zone_edge_scan_matches_unscreened_scan(n, monkeypatch):
+    sigma = build_parabola(make_ring(n))
+    k = _zone_edge(n)
+    screened = uncertainty_search(sigma, k, samples=1500, seed=n, batch=500)
+    monkeypatch.setattr(restriction, "_min_margin", lambda gram, k: float(_margins(gram).min()))
+    unscreened = uncertainty_search(sigma, k, samples=1500, seed=n, batch=500)
+    assert not screened.found and not unscreened.found
+    assert screened.supports_checked == unscreened.supports_checked == 1500
+    assert screened.min_margin == unscreened.min_margin
+
+
+def test_chunk_size_caps_chunk_bytes():
+    # Every chunk of the zone-scan benchmark, the CLI battery and criterion 6
+    # stays at its batch; the CLI default at N=15 and large N are capped.
+    for n, k, batch in ((6, 4, 6545), (6, 8, 50_000), (15, 56, 5_000), (15, 4, 500), (6, 4, 500),
+                        (6, 6, 100_000), (6, 7, 100_000), (6, 8, 100_000)):
+        assert _chunk_size(n, k, batch) == batch
+    assert _chunk_size(15, 56, 100_000) == _CHUNK_BYTES // (16 * 225 + 16 * 56 * 15) < 100_000
+    assert _chunk_size(42, 220, 100_000) == 1524
+    assert _chunk_size(6, 8, 0) == 1
+    for n in (2, 6, 15, 30, 42, 105):
+        for k in (1, n, n * n // 8, n * n // 2):
+            b = _chunk_size(n, k, 100_000)
+            per_support = 16 * n * n + (8 * n * n if _gram_by_gemm(n, b, k) else 16 * k * n)
+            assert b == 1 or b * per_support <= _CHUNK_BYTES
+
+
+def test_uncertainty_verdict_does_not_depend_on_chunking(monkeypatch):
+    # The draws split sequentially and the minimum over chunks is exact, so
+    # on the row-gather build (N=15, k=4) every chunking gives the same bits.
+    # The one-GEMM build (N=15, k=56 and N=6, k=4) may round a row of the
+    # product differently at another chunk size (BLAS blocking), and chunks
+    # of 77 switch N=6, k=4 to the gather, so there min_margin agrees to
+    # rounding and the verdict exactly.
+    sigma15, sigma6 = build_parabola(make_ring(15)), build_parabola(make_ring(6))
+
+    def scans(batch):
+        return (uncertainty_search(sigma15, 4, samples=1200, seed=3, batch=batch),
+                uncertainty_search(sigma15, 56, samples=1200, seed=3, batch=batch),
+                uncertainty_search(sigma6, 4, batch=batch))
+
+    runs = [scans(batch) for batch in (1200, 500, 77)]
+    monkeypatch.setattr(restriction, "_CHUNK_BYTES", 1_000_000)  # caps each scan below 1200
+    runs.append(scans(1200))
+    for i, verdicts in enumerate(zip(*runs)):
+        first = verdicts[0]
+        for v in verdicts[1:]:
+            assert (v.found, v.method, v.supports_checked) == (False, first.method, first.supports_checked)
+            if i == 0:
+                assert v.min_margin == first.min_margin
+            else:
+                assert math.isclose(v.min_margin, first.min_margin, rel_tol=1e-13)
 
 
 @pytest.mark.parametrize("n", [6, 10])

@@ -88,6 +88,12 @@ def test_tonelli_shanks_square_round_trip(p):
         assert root * root % p == c
 
 
+@pytest.mark.parametrize("c, p", [(2, 3), (3, 7), (2, 13), (3, 17), (2, 101)])
+def test_tonelli_shanks_rejects_non_residue(c, p):
+    with pytest.raises(ValueError, match="not a quadratic residue"):
+        tonelli_shanks(c, p)
+
+
 def _roots_by_scan(c, n):
     return tuple(x for x in range(n) if x * x % n == c % n)
 
