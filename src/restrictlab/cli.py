@@ -251,8 +251,6 @@ def _cmd_uncertainty(args: argparse.Namespace, rings: list[RingContext]) -> Repo
     for ring in rings:
         zone = ring.modulus**2 / 2**ring.omega
         max_support = math.ceil(zone) - 1 if args.max_support is None else args.max_support
-        if max_support < 1:
-            raise UsageError(f"forbidden zone for N={ring.modulus} is empty")
         verdict = uncertainty_search(
             build_parabola(ring), max_support, samples=args.trials, seed=args.seed
         )

@@ -68,14 +68,22 @@ class RestrictionReport:
 
 
 def certified_constant(ring: RingContext) -> float:
-    """The squarefree constant 2^(omega(N)/4)."""
+    """The squarefree constant 2^(omega(N)/4); the certified checks' one gate, ValueError otherwise."""
+    if not ring.squarefree:
+        raise ValueError(f"modulus {ring.modulus} is not squarefree")
     return float(2.0 ** (ring.omega / 4.0))
+
+
+def _check_exponents(**exponents: float) -> None:
+    """ValueError unless every named exponent is at least 1."""
+    for name, e in exponents.items():
+        if not e >= 1:
+            raise ValueError(f"{name} must be >= 1, got {e}")
 
 
 def restriction_lhs(spectrum, sigma: ParabolaSet, s: float = 2.0) -> float:
     """((1/|Sigma|) sum_t |F(t, t^2)|^s)^(1/s) for a spectrum F."""
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
+    _check_exponents(s=s)
     vals = restrict_to(sigma, spectrum)
     return float((np.abs(vals) ** s).mean() ** (1.0 / s))
 
@@ -111,7 +119,9 @@ def restriction_quantities(
 
     lhs is the averaged L^s norm of the transform on the parabola; rhs is
     N^(-d/2) times the counting L^r norm of the signal, constant excluded.
+    Both exponents must be at least 1.
     """
+    _check_exponents(s=s, r=r)
     n = ring.modulus
     sigma = _parabola_over(ring, sigma)
     spectra = dft_array(n, values)
@@ -162,8 +172,6 @@ def verify_main_theorem(
     witness_kind: str = "",
 ) -> RestrictionReport:
     """Check the certified (s, r) = (2, 4/3) estimate; squarefree moduli only."""
-    if not f.ring.squarefree:
-        raise ValueError(f"modulus {f.ring.modulus} is not squarefree")
     params = RestrictionParams(s=2.0, r=4.0 / 3.0, constant=certified_constant(f.ring))
     return verify_restriction(f, sigma, params, witness_kind)
 
@@ -187,8 +195,7 @@ def universal_certificate(sigma: ParabolaSet) -> UniversalCertificate:
     multiplicity is at most the full-set maximum, so E(U) <= max_rep * |U|^2.
     """
     ring = sigma.ring
-    if not ring.squarefree:
-        raise ValueError(f"modulus {ring.modulus} is not squarefree")
+    constant = certified_constant(ring)  # the squarefree gate, before the energy count
     n = ring.modulus
     report = energy_exact(sigma)
     lam_size = len(sigma) / float(n)  # N^(d/2) = N when d = 2
@@ -199,7 +206,7 @@ def universal_certificate(sigma: ParabolaSet) -> UniversalCertificate:
         lambda_size=lam_size,
         lambda_energy=lam_energy,
         implied_constant=float(lam_size**-0.5 * lam_energy**0.25),
-        certified_constant=certified_constant(ring),
+        certified_constant=constant,
     )
 
 
@@ -237,8 +244,6 @@ def _verify_extension(
 ) -> RestrictionReport:
     """Normalized L^s over L^r of one extension, checked against params.constant."""
     ring = sigma.ring
-    if not ring.squarefree:
-        raise ValueError(f"modulus {ring.modulus} is not squarefree")
     c = coefficient_vector(sigma, coefficients)
     lhs, rhs = _extension_norms(ring, c, sigma, params.s, params.r)
     return _report(ring, params, float(lhs), float(rhs), witness_kind)
@@ -481,31 +486,32 @@ def _fourth_power_bound(gram: np.ndarray, phi2: np.ndarray) -> np.ndarray:
 
 
 def _min_margin(gram: np.ndarray, k: int) -> float:
-    """min(_margins(gram)), solving only the Grams whose bound can reach the minimum.
+    """min(_margins(gram)), solving each Gram at most once, and only if its bound can set it.
 
-    The Grams with the largest first-stage bounds are solved first; their
-    largest lambda_max L is a lower bound on the chunk's, so a Gram whose
-    bound plus slack is below L cannot hold it.  The first stage is one
-    Frobenius norm per Gram.  Its survivors go to the second stage, the
-    fourth-power bound, in slices of at most _SLICE_BYTES of Grams so that
-    its two products stay small next to the chunk.  Only the second stage's
-    survivors go through the same eigvalsh, so the result is the unscreened
-    minimum, not an estimate.
+    The min(B, _SCREEN_PROBE) Grams with the largest first-stage bounds (one
+    Frobenius norm each) are solved first; their largest lambda_max L bounds
+    the chunk's from below, so a Gram whose bound plus slack is below L cannot
+    exceed it.  The other first-stage survivors go to the fourth-power bound in
+    slices of at most _SLICE_BYTES of Grams, and only its survivors are solved.
+    The margin is formed once, from the largest lambda_max: x -> sqrt(max(1 - x,
+    0)) is monotone in floating point, so it is the unscreened minimum bit for
+    bit, not an estimate.
     """
-    if gram.shape[0] <= _SCREEN_PROBE:
-        return float(_margins(gram).min())
     n = gram.shape[1]
     phi2 = _frobenius2(gram)
     bound = _lambda_max_bound(phi2, k, n)
-    probe = np.argpartition(bound, -_SCREEN_PROBE)[-_SCREEN_PROBE:]
+    probe = np.argpartition(bound, -min(gram.shape[0], _SCREEN_PROBE))[-_SCREEN_PROBE:]
     level = np.linalg.eigvalsh(gram[probe])[:, -1].max()
-    alive = np.flatnonzero(bound + _SCREEN_SLACK >= level)
+    alive = bound + _SCREEN_SLACK >= level
+    alive[probe] = False  # solved already
+    alive = np.flatnonzero(alive)
+    keep = np.zeros(alive.size, dtype=bool)
     step = max(1, _SLICE_BYTES // gram[0].nbytes)
-    keep = []
     for i in range(0, alive.size, step):
         s = alive[i : i + step]
-        keep.append(s[_fourth_power_bound(gram[s], phi2[s]) + _SCREEN_SLACK >= level])
-    return float(_margins(gram[np.concatenate(keep)]).min())
+        keep[i : i + step] = _fourth_power_bound(gram[s], phi2[s]) + _SCREEN_SLACK >= level
+    top = np.linalg.eigvalsh(gram[alive[keep]])[:, -1].max(initial=level)
+    return float(np.sqrt(np.clip(1.0 - top, 0.0, None)))
 
 
 def _scan_chunk(
@@ -533,12 +539,14 @@ def _random_supports(rng: np.random.Generator, count: int, universe: int, k: int
     return np.argpartition(u, k, axis=1)[:, :k].astype(np.intp)
 
 
+_EXHAUSTIVE_CAP = 2_500_000  # the scan is exhaustive when C(N^2, max_support) is at most this
+
+
 def uncertainty_search(
     sigma: ParabolaSet,
     max_support: int,
     *,
     samples: int = 1_000_000,
-    exhaustive_cap: int = 2_500_000,
     seed: int = 0,
     batch: int = 100_000,
 ) -> UncertaintyVerdict:
@@ -551,7 +559,7 @@ def uncertainty_search(
     forbidden zone max_support < N^2 / 2^omega must come back empty; the zone
     boundary itself is rejected because the search would be vacuous.
 
-    The exhaustive path (when C(N^2, max_support) <= exhaustive_cap) scans
+    The exhaustive path (when C(N^2, max_support) <= _EXHAUSTIVE_CAP) scans
     only the supports that contain cell (0, 0).  Translating T by a multiplies
     the rows of E by a diagonal unitary, E_{(T+a)^c} = E_{T^c} D_a, so T and
     T + a have the same off-support singular values, and every T has a
@@ -574,7 +582,7 @@ def uncertainty_search(
         )
     ext = extension_matrix(sigma)
     total = math.comb(universe, max_support)
-    exhaustive = total <= exhaustive_cap
+    exhaustive = total <= _EXHAUSTIVE_CAP
     method = "exhaustive" if exhaustive else "randomized"
     if not exhaustive and samples < 1:
         raise ValueError(f"the randomized search needs samples >= 1, got {samples}")
@@ -642,7 +650,10 @@ def sharpness_probe(ring: RingContext, *, trials: int = 200, seed: int = 0) -> P
     {a + d1*i} x {b + d2*j} for every ordered divisor pair with d1^2 | N and
     d2^2 | N (d = 1 included, so lines and the full grid appear), plus random
     sparse indicators.  Each candidate is scored at r = 4/3 and r = 6/5.
+    trials must be >= 0.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     sigma = build_parabola(ring)
     n = ring.modulus
     candidates: list[tuple[str, np.ndarray]] = []

@@ -221,6 +221,7 @@ def test_criterion_05_decay_dichotomy():
     )
 
 
+@pytest.mark.slow
 def test_criterion_06_uncertainty_forbidden_zone():
     sigma = build_parabola(make_ring(6))
     exhaustive = uncertainty_search(sigma, 6, seed=1006)
@@ -239,6 +240,7 @@ def test_criterion_06_uncertainty_forbidden_zone():
     )
 
 
+@pytest.mark.slow
 def test_criterion_07_exact_recovery_rates():
     ok = True
     summaries = []

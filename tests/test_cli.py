@@ -322,6 +322,16 @@ def test_uncertainty_without_random_draws_is_a_usage_error(capsys):
     assert "found" not in captured.err
 
 
+@pytest.mark.parametrize("max_support", ["0", "-3"])
+def test_uncertainty_max_support_below_one_is_a_usage_error(max_support, capsys):
+    # the zone at N=15 holds sizes 1 to 56, so the error names the argument, not the zone
+    assert main(["uncertainty", "--n", "15", "--max-support", max_support, "--trials", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = captured.err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("error: ") and "max_support" in errors[0]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,5 +1,6 @@
 """Certified inequalities, certificates, the support search, and the probe."""
 
+import itertools
 import math
 
 import numpy as np
@@ -29,6 +30,7 @@ from restrictlab.restriction import (
 from restrictlab import restriction
 from restrictlab.restriction import (
     _CHUNK_BYTES,
+    _SCREEN_PROBE,
     _SCREEN_SLACK,
     _chunk_size,
     _extension_norms,
@@ -130,6 +132,15 @@ def test_params_validation():
         RestrictionParams(s=2.0, r=2.5)
     with pytest.raises(ValueError):
         RestrictionParams(s=2.0, r=0.9)
+    # the kernels check their own exponents: s = 0 or r = 0 divided by zero,
+    # and r = -1 returned an rhs
+    ring = make_ring(15)
+    ones = np.ones((15, 15))
+    for s, r, name in ((0.0, 4.0 / 3.0, "s"), (2.0, 0.0, "r"), (2.0, -1.0, "r"), (0.5, 1.0, "s")):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
+            restriction_quantities(ring, ones, s=s, r=r)
+    with pytest.raises(ValueError, match="^s must be >= 1"):
+        restriction_lhs(dft(Signal2D(ring, ones)), build_parabola(ring), s=0.0)
 
 
 @pytest.mark.parametrize("n", [6, 10, 15, 21, 35])
@@ -147,6 +158,22 @@ def test_universal_certificate_is_tight(n):
 def test_universal_certificate_gate():
     with pytest.raises(ValueError):
         universal_certificate(build_parabola(make_ring(18)))
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda sigma: certified_constant(sigma.ring),
+        lambda sigma: verify_main_theorem(Signal2D(sigma.ring, np.ones((12, 12))), sigma),
+        lambda sigma: verify_dual(np.ones(12), sigma),
+        lambda sigma: verify_l1_l2(np.ones(12), sigma),
+        universal_certificate,
+    ],
+    ids=["certified_constant", "verify_main_theorem", "verify_dual", "verify_l1_l2", "universal_certificate"],
+)
+def test_certified_checks_share_one_squarefree_gate(check):
+    with pytest.raises(ValueError, match="modulus 12 is not squarefree"):
+        check(build_parabola(make_ring(12)))
 
 
 def test_dual_constant_coefficients_fifteen():
@@ -339,9 +366,8 @@ def test_uncertainty_small_exhaustive():
 
 
 def test_uncertainty_randomized_mode():
-    verdict = uncertainty_search(
-        build_parabola(make_ring(6)), 8, samples=3000, exhaustive_cap=1000, seed=5
-    )
+    # C(36, 8) = 30.3M supports is above the exhaustive cap
+    verdict = uncertainty_search(build_parabola(make_ring(6)), 8, samples=3000, seed=5)
     assert verdict.method == "randomized"
     assert verdict.supports_checked == 3000
     assert not verdict.found
@@ -351,7 +377,7 @@ def test_uncertainty_randomized_needs_a_sample():
     sigma = build_parabola(make_ring(6))
     for samples in (0, -5):
         with pytest.raises(ValueError, match="samples"):
-            uncertainty_search(sigma, 8, samples=samples, exhaustive_cap=1000)
+            uncertainty_search(sigma, 8, samples=samples)
     # the exhaustive path draws nothing, so samples does not matter there
     verdict = uncertainty_search(build_parabola(make_ring(3)), 4, samples=0)
     assert verdict.method == "exhaustive" and verdict.supports_checked == math.comb(9, 4)
@@ -369,8 +395,9 @@ def test_uncertainty_zone_validation():
 
 def test_uncertainty_determinism():
     sigma = build_parabola(make_ring(6))
-    a = uncertainty_search(sigma, 7, samples=2000, exhaustive_cap=10, seed=9)
-    b = uncertainty_search(sigma, 7, samples=2000, exhaustive_cap=10, seed=9)
+    a = uncertainty_search(sigma, 7, samples=2000, seed=9)
+    b = uncertainty_search(sigma, 7, samples=2000, seed=9)
+    assert a.method == "randomized"  # C(36, 7) = 8.3M supports is above the exhaustive cap
     assert a.min_margin == b.min_margin
     assert a.supports_checked == b.supports_checked
 
@@ -397,13 +424,39 @@ def _zone_edge(n):
 def test_screened_min_margin_is_the_unscreened_minimum(n):
     ext = extension_matrix(build_parabola(make_ring(n)))
     products = _gram_products(ext)
-    for k in (n - 1, n, min(n + 3, n * n - 1), _zone_edge(n)):
-        supports = _support_batch(n, k, 500, seed=10 * n + k)
+    # 1, 64 and 65 Grams: a single probe, a chunk of probes only, one Gram past them
+    for k, count in itertools.product((n - 1, n, min(n + 3, n * n - 1), _zone_edge(n)), (1, 64, 65, 500)):
+        supports = _support_batch(n, k, count, seed=10 * n + k)
         gathered = _grams(ext, supports, None)
         gemm = _grams(ext, supports, products)
         assert np.allclose(gemm, gathered, atol=1e-14)
         for gram in (gathered, gemm):
             assert _min_margin(gram, k) == _margins(gram).min()
+
+
+@pytest.mark.parametrize("n, k, count", [(6, 4, 6545), (15, 56, 2000), (21, 110, 400)])
+def test_min_margin_solves_each_gram_at_most_once(n, k, count, monkeypatch):
+    # A random chunk with every repeated Gram dropped (at N=6, k=4 supports
+    # repeat, and symmetric supports give equal Grams), so a matrix solved
+    # twice can only be a second solve of one Gram.
+    ext = extension_matrix(build_parabola(make_ring(n)))
+    gram = _grams(ext, _support_batch(n, k, count, seed=n), _gram_products(ext))
+    first = {}
+    for i, g in enumerate(gram):
+        first.setdefault(g.tobytes(), i)
+    gram = gram[sorted(first.values())]
+    assert len(gram) > _SCREEN_PROBE  # the screens run past the probes
+    expected = _margins(gram).min()
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        solved.extend(m.tobytes() for m in a.reshape(-1, n, n))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    assert _min_margin(gram, k) == expected
+    assert 0 < len(solved) == len(set(solved))
 
 
 @pytest.mark.parametrize("n", [3, 6, 10, 14, 15, 21, 22, 30])
@@ -553,6 +606,12 @@ def test_probe_prime_square_growth():
     assert ratios[9] < ratios[25] < ratios[49]
     assert ratios[25] > 2**0.25
     assert ratios[49] > 2**0.25
+
+
+def test_probe_rejects_a_negative_trial_count():
+    with pytest.raises(ValueError, match="trials"):
+        sharpness_probe(make_ring(9), trials=-5)
+    assert len(sharpness_probe(make_ring(9), trials=0).reports) == 32  # the stride boxes alone
 
 
 def test_probe_reports_both_exponents():
