@@ -376,36 +376,46 @@ def _gram_by_gemm(n: int, batch: int, k: int) -> bool:
     return 2 * n**4 + batch * n * n <= 2 * batch * k * n
 
 
-_CHUNK_BYTES = 256 << 20  # per-chunk budget for the Grams and what builds them
+_CHUNK_BYTES = 16 << 20  # per-chunk budget for the draw, the Grams and what builds them
 
 
 def _chunk_size(n: int, k: int, batch: int) -> int:
     """Supports per chunk: batch, capped so a chunk's arrays fit in _CHUNK_BYTES.
 
-    A chunk holds its (B, N, N) complex Grams (16 N^2 bytes a support) and
-    either the float64 indicator (8 N^2) or the (B, k, N) complex row stack
-    (16 k N), whichever build _gram_by_gemm picks; the larger of the two is
-    counted, so the cap holds for both.  The random draw's B x N^2 uniforms
-    and partition indices (16 N^2) are freed before the Grams are built.
-    The verdict does not depend on the chunk size: the generator's draws
-    split sequentially and the minimum over chunks is exact.  min_margin can
-    move in its last bits, because BLAS may round a row of the one-GEMM build
-    differently at another chunk size, and the cap can switch the build.
+    A support costs, in bytes: its row of float64 uniforms (8 N^2) and the
+    partition copy that finds their k-th smallest (8 N^2), its boolean mask
+    (N^2), its (N, N) complex Gram (16 N^2), and what builds the Gram: the
+    float64 indicator (8 N^2) when _gram_by_gemm picks the GEMM at the capped
+    size, else the (k, N) complex row stack (16 k N).  _gram_by_gemm only
+    turns true as the chunk grows, so a chunk capped for the gather is never
+    one the GEMM would build.  The exhaustive path draws no uniforms, so its
+    chunks are counted high.  _CHUNK_BYTES comes from a measured sweep of 8
+    to 64 MB: smaller chunks pay more probe eigensolves, larger ones stream
+    more fresh memory.  The verdict does not depend on the chunk size: the
+    generator's draws split sequentially and the minimum over chunks is
+    exact.  min_margin can move in its last bits, because BLAS may round a
+    row of the one-GEMM build differently at another chunk size, and the cap
+    can switch the build.
     """
-    per_support = 16 * n * n + max(8 * n * n, 16 * k * n)
-    return max(1, min(batch, _CHUNK_BYTES // per_support))
+    common = 33 * n * n  # uniforms, partition copy, mask and Gram
+    gemm = max(1, min(batch, _CHUNK_BYTES // (common + 8 * n * n)))
+    if _gram_by_gemm(n, gemm, k):
+        return gemm
+    return max(1, min(batch, _CHUNK_BYTES // (common + 16 * k * n)))
 
 
-def _grams(ext: np.ndarray, supports: np.ndarray, products: np.ndarray | None) -> np.ndarray:
-    """(B, N, N) Grams E_T^H E_T, one per support row; gathers rows if products is None."""
+def _grams(ext: np.ndarray, masks: np.ndarray, products: np.ndarray | None) -> np.ndarray:
+    """(B, N, N) Grams E_T^H E_T, one per (B, N^2) boolean support mask.
+
+    With products, one GEMM of the masks as a float64 indicator; without,
+    a gather of each support's rows of E, its cells read in ascending order.
+    """
+    b = masks.shape[0]
     if products is None:
-        rows = ext[supports]  # (B, k, N)
+        rows = ext[np.nonzero(masks)[1].reshape(b, -1)]  # (B, k, N)
         return np.matmul(rows.conj().transpose(0, 2, 1), rows)
-    b = supports.shape[0]
     n = ext.shape[1]
-    indicator = np.zeros((b, n * n))
-    np.put_along_axis(indicator, supports, 1.0, axis=1)
-    return (indicator @ products).view(np.complex128).reshape(b, n, n)
+    return (masks.astype(np.float64) @ products).view(np.complex128).reshape(b, n, n)
 
 
 def _margins(gram: np.ndarray) -> np.ndarray:
@@ -515,9 +525,9 @@ def _min_margin(gram: np.ndarray, k: int) -> float:
 
 
 def _scan_chunk(
-    ext: np.ndarray, supports: np.ndarray, products: np.ndarray | None
+    ext: np.ndarray, masks: np.ndarray, k: int, products: np.ndarray | None
 ) -> tuple[float, np.ndarray | None, np.ndarray | None]:
-    """(min margin, witness support, witness coefficients) over one chunk of supports.
+    """(min margin, witness support, witness coefficients) over one chunk of k-cell support masks.
 
     The witness is the first support whose margin is <= RANK_RTOL, as sorted
     flat cell indices, with a unit coefficient vector whose extension vanishes
@@ -526,17 +536,39 @@ def _scan_chunk(
     orthonormal, so ||E_offT c||^2 = 1 - c^H E_T^H E_T c, which is zero at
     eigenvalue 1.
     """
-    gram = _grams(ext, supports, products)
-    margin = _min_margin(gram, supports.shape[1])
+    gram = _grams(ext, masks, products)
+    margin = _min_margin(gram, k)
     if margin > RANK_RTOL:
         return margin, None, None
     first = int(np.flatnonzero(_margins(gram) <= RANK_RTOL)[0])
-    return margin, np.sort(supports[first]), np.linalg.eigh(gram[first])[1][:, -1]
+    return margin, np.flatnonzero(masks[first]), np.linalg.eigh(gram[first])[1][:, -1]
 
 
 def _random_supports(rng: np.random.Generator, count: int, universe: int, k: int) -> np.ndarray:
+    """(count, universe) boolean masks, each marking the k cells of its row's smallest uniforms.
+
+    A row marks the cells at or below its k-th smallest uniform.  A tie at
+    that value marks more than k cells; such a row takes the k cells
+    np.argpartition picks instead.  So every mask holds exactly the cells of
+    np.argpartition(u, k, axis=1)[:, :k] on the same draw.
+    """
     u = rng.random((count, universe))
-    return np.argpartition(u, k, axis=1)[:, :k].astype(np.intp)
+    masks = u <= np.partition(u, k - 1, axis=1)[:, k - 1 : k]
+    if np.count_nonzero(masks) > count * k:  # every row has k marks or more
+        for i in np.flatnonzero(np.count_nonzero(masks, axis=1) > k):
+            masks[i] = False
+            masks[i, np.argpartition(u[i], k)[:k]] = True
+    return masks
+
+
+def _exhaustive_supports(combos: Iterator[tuple[int, ...]], count: int, universe: int, k: int) -> np.ndarray:
+    """(count, universe) boolean masks: cell 0 plus each of the next count (k - 1)-cell combos."""
+    flat = itertools.chain.from_iterable(itertools.islice(combos, count))
+    cells = np.fromiter(flat, np.intp, count * (k - 1))
+    masks = np.zeros((count, universe), dtype=bool)
+    masks[:, 0] = True
+    np.put_along_axis(masks, cells.reshape(count, k - 1), True, axis=1)
+    return masks
 
 
 _EXHAUSTIVE_CAP = 2_500_000  # the scan is exhaustive when C(N^2, max_support) is at most this
@@ -567,8 +599,8 @@ def uncertainty_search(
     C(N^2, max_support) when nothing is found; on a find it counts only the
     representatives scanned so far.  The randomized path draws samples
     supports and rejects samples < 1: zero draws would decide nothing.
-    Supports go in chunks of at most batch, fewer where a chunk's arrays
-    would pass _CHUNK_BYTES (_chunk_size).
+    Supports go in chunks of at most batch (batch < 1 is rejected), fewer
+    where a chunk's arrays would pass _CHUNK_BYTES (_chunk_size).
     """
     ring = sigma.ring
     if not ring.squarefree:
@@ -580,6 +612,8 @@ def uncertainty_search(
         raise ValueError(
             f"max_support must be in [1, {zone}) = [1, N^2/2^omega) for N={n}, got {max_support}"
         )
+    if batch < 1:
+        raise ValueError(f"batch must be >= 1, got {batch}")
     ext = extension_matrix(sigma)
     total = math.comb(universe, max_support)
     exhaustive = total <= _EXHAUSTIVE_CAP
@@ -589,28 +623,16 @@ def uncertainty_search(
     scanned = math.comb(universe - 1, max_support - 1) if exhaustive else samples
     chunk = _chunk_size(n, max_support, min(batch, scanned))
     products = _gram_products(ext) if _gram_by_gemm(n, chunk, max_support) else None
-
-    def chunks() -> Iterator[np.ndarray]:
-        if exhaustive:
-            it = ((0,) + c for c in itertools.combinations(range(1, universe), max_support - 1))
-            while True:
-                block = list(itertools.islice(it, chunk))
-                if not block:
-                    return
-                yield np.array(block, dtype=np.intp)
-        else:
-            rng = spawn_rng(seed, n, max_support)
-            remaining = samples
-            while remaining > 0:
-                take = min(chunk, remaining)
-                remaining -= take
-                yield _random_supports(rng, take, universe, max_support)
-
+    if exhaustive:
+        draw, source = _exhaustive_supports, itertools.combinations(range(1, universe), max_support - 1)
+    else:
+        draw, source = _random_supports, spawn_rng(seed, n, max_support)
     checked = 0
     min_margin = math.inf
-    for supports in chunks():
-        margin, t_flat, coeff = _scan_chunk(ext, supports, products)
-        checked += supports.shape[0]
+    while checked < scanned:
+        masks = draw(source, min(chunk, scanned - checked), universe, max_support)
+        margin, t_flat, coeff = _scan_chunk(ext, masks, max_support, products)
+        checked += masks.shape[0]
         min_margin = min(min_margin, margin)
         if t_flat is not None:
             break

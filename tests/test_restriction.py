@@ -373,6 +373,13 @@ def test_uncertainty_randomized_mode():
     assert not verdict.found
 
 
+def test_uncertainty_rejects_a_batch_below_one():
+    for sigma, size in ((build_parabola(make_ring(6)), 8), (build_parabola(make_ring(3)), 4)):
+        for batch in (0, -5):
+            with pytest.raises(ValueError, match="batch"):
+                uncertainty_search(sigma, size, samples=100, batch=batch)
+
+
 def test_uncertainty_randomized_needs_a_sample():
     sigma = build_parabola(make_ring(6))
     for samples in (0, -5):
@@ -416,6 +423,69 @@ def _support_batch(n, k, count, seed):
     return _random_supports(np.random.default_rng(seed), count, n * n, k)
 
 
+def _masks(cells, n):
+    """(B, N^2) boolean masks of a (B, k) array of flat cell indices."""
+    masks = np.zeros((cells.shape[0], n * n), dtype=bool)
+    np.put_along_axis(masks, cells, True, axis=1)
+    return masks
+
+
+def _cells(masks):
+    """(B, k) flat cell indices, ascending, of masks with k cells each."""
+    return np.nonzero(masks)[1].reshape(masks.shape[0], -1)
+
+
+@pytest.mark.parametrize(
+    "count, universe, k", [(2000, 36, 8), (500, 225, 56), (500, 225, 4), (300, 36, 1), (300, 36, 35)]
+)
+def test_mask_draw_selects_the_argpartition_cells(count, universe, k):
+    # The sampled scans (the golden 07-uncertainty N=15 row among them) keep
+    # their supports only if the mask marks the cells the index draw took.
+    masks = _random_supports(np.random.default_rng(k), count, universe, k)
+    u = np.random.default_rng(k).random((count, universe))
+    reference = np.argpartition(u, k, axis=1)[:, :k]
+    assert masks.shape == (count, universe) and masks.dtype == bool
+    assert np.array_equal(_cells(masks), np.sort(reference, axis=1))
+
+
+class _TiedUniforms:
+    """Generator stub whose uniforms take 4 values, so rows tie at the k-th smallest."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def random(self, shape):
+        return self.rng.integers(0, 4, size=shape) / 4
+
+
+@pytest.mark.parametrize("universe, k", [(36, 8), (36, 1), (225, 56)])
+def test_mask_draw_breaks_ties_as_argpartition_does(universe, k):
+    masks = _random_supports(_TiedUniforms(universe + k), 200, universe, k)
+    u = _TiedUniforms(universe + k).random((200, universe))
+    threshold = np.partition(u, k - 1, axis=1)[:, k - 1 : k]
+    assert np.count_nonzero(np.count_nonzero(u <= threshold, axis=1) > k) >= 100  # rows taking the fallback
+    assert np.all(np.count_nonzero(masks, axis=1) == k)
+    assert np.array_equal(_cells(masks), np.sort(np.argpartition(u, k, axis=1)[:, :k], axis=1))
+
+
+def test_exhaustive_masks_hold_k_cells_through_cell_zero(monkeypatch):
+    seen = []
+    scan_chunk = restriction._scan_chunk
+
+    def recording(ext, masks, k, products):
+        seen.append(masks)
+        return scan_chunk(ext, masks, k, products)
+
+    monkeypatch.setattr(restriction, "_scan_chunk", recording)
+    verdict = uncertainty_search(build_parabola(make_ring(6)), 4, batch=1000)
+    masks = np.concatenate(seen)
+    assert verdict.method == "exhaustive" and len(seen) == 7
+    assert masks.shape == (math.comb(35, 3), 36)
+    assert np.all(np.count_nonzero(masks, axis=1) == 4) and np.all(masks[:, 0])
+    expected = [(0,) + c for c in itertools.combinations(range(1, 36), 3)]
+    assert np.array_equal(_cells(masks), np.array(expected))
+
+
 def _zone_edge(n):
     return math.ceil(n * n / 2 ** make_ring(n).omega) - 1
 
@@ -426,9 +496,9 @@ def test_screened_min_margin_is_the_unscreened_minimum(n):
     products = _gram_products(ext)
     # 1, 64 and 65 Grams: a single probe, a chunk of probes only, one Gram past them
     for k, count in itertools.product((n - 1, n, min(n + 3, n * n - 1), _zone_edge(n)), (1, 64, 65, 500)):
-        supports = _support_batch(n, k, count, seed=10 * n + k)
-        gathered = _grams(ext, supports, None)
-        gemm = _grams(ext, supports, products)
+        masks = _support_batch(n, k, count, seed=10 * n + k)
+        gathered = _grams(ext, masks, None)
+        gemm = _grams(ext, masks, products)
         assert np.allclose(gemm, gathered, atol=1e-14)
         for gram in (gathered, gemm):
             assert _min_margin(gram, k) == _margins(gram).min()
@@ -472,18 +542,19 @@ def test_screening_bounds_are_sound(n):
     rng = np.random.default_rng(n)
     count = 8 if n <= 15 else 3
     cells = np.arange(n * n).reshape(n, n)
-    batches = [_support_batch(n, k, count, seed=n * k) for k in range(1, _zone_edge(n) + 1)]
-    batches += [cells[:m].reshape(1, -1) for m in range(1, n + 1)]
-    batches += [cells[:, :m].T.reshape(1, -1) for m in range(1, n + 1)]
-    batches += [rng.permuted(np.tile(cells.ravel(), (3, 1)), axis=1)[:, : n * n - off] for off in (0, 1, 2)]
+    batches = [(k, _support_batch(n, k, count, seed=n * k)) for k in range(1, _zone_edge(n) + 1)]
+    lines = [cells[:m].reshape(1, -1) for m in range(1, n + 1)]
+    lines += [cells[:, :m].T.reshape(1, -1) for m in range(1, n + 1)]
+    lines += [rng.permuted(np.tile(cells.ravel(), (3, 1)), axis=1)[:, : n * n - off] for off in (0, 1, 2)]
+    batches += [(t.shape[1], _masks(t, n)) for t in lines]
     tightest = np.inf
-    for supports in batches:
-        for gram in (_grams(ext, supports, None), _grams(ext, supports, products)):
+    for k, masks in batches:
+        for gram in (_grams(ext, masks, None), _grams(ext, masks, products)):
             lam = np.linalg.eigvalsh(gram)[:, -1]
             phi2 = _frobenius2(gram)
             fourth = _fourth_power_bound(gram, phi2)
             assert np.all(fourth >= lam)
-            assert np.all(_lambda_max_bound(phi2, supports.shape[1], n) + _SCREEN_SLACK >= lam)
+            assert np.all(_lambda_max_bound(phi2, k, n) + _SCREEN_SLACK >= lam)
             tightest = min(tightest, (fourth - lam).min())
     assert tightest < 1e-12  # the tight cases were reached
 
@@ -492,10 +563,10 @@ def test_margins_match_direct_svd():
     for n in (6, 10, 15):
         ext = extension_matrix(build_parabola(make_ring(n)))
         for k in (2, n - 1, n + 2):
-            supports = _support_batch(n, k, 40, seed=n * k)
-            margins = _margins(_grams(ext, supports, None))
-            for t, margin in zip(supports, margins):
-                off = np.setdiff1d(np.arange(n * n), t)
+            masks = _support_batch(n, k, 40, seed=n * k)
+            margins = _margins(_grams(ext, masks, None))
+            for t, margin in zip(masks, margins):
+                off = np.flatnonzero(~t)
                 s_min = np.linalg.svd(ext[off], compute_uv=False)[-1]
                 assert math.isclose(margin, s_min, rel_tol=1e-10)
 
@@ -505,10 +576,10 @@ def test_margin_is_translation_invariant():
     for n in (6, 10, 15):
         ext = extension_matrix(build_parabola(make_ring(n)))
         for k in (3, n, n + 5):
-            t = _support_batch(n, k, 20, seed=n + k)
+            t = _cells(_support_batch(n, k, 20, seed=n + k))
             a1, a2 = rng.integers(0, n, size=(2, 20, 1))
             shifted = ((t // n + a1) % n) * n + (t % n + a2) % n
-            both = _margins(_grams(ext, np.concatenate([t, shifted]), None))
+            both = _margins(_grams(ext, _masks(np.concatenate([t, shifted]), n), None))
             assert np.allclose(both[:20], both[20:], rtol=0, atol=1e-12)
 
 
@@ -538,18 +609,21 @@ def test_zone_edge_scan_matches_unscreened_scan(n, monkeypatch):
 
 
 def test_chunk_size_caps_chunk_bytes():
-    # Every chunk of the zone-scan benchmark, the CLI battery and criterion 6
-    # stays at its batch; the CLI default at N=15 and large N are capped.
-    for n, k, batch in ((6, 4, 6545), (6, 8, 50_000), (15, 56, 5_000), (15, 4, 500), (6, 4, 500),
-                        (6, 6, 100_000), (6, 7, 100_000), (6, 8, 100_000)):
+    # The CLI battery's chunks and the zone-scan benchmark's exhaustive one
+    # stay at their batch; the benchmark's randomized chunks, criterion 6's,
+    # the CLI default at N=15 and large N are capped.
+    for n, k, batch in ((6, 4, 6545), (15, 4, 500), (6, 4, 500)):
         assert _chunk_size(n, k, batch) == batch
-    assert _chunk_size(15, 56, 100_000) == _CHUNK_BYTES // (16 * 225 + 16 * 56 * 15) < 100_000
-    assert _chunk_size(42, 220, 100_000) == 1524
+    for n, k, batch, chunk in ((6, 8, 50_000, 11_366), (15, 56, 5_000, 1_818), (6, 6, 100_000, 11_366),
+                               (6, 7, 100_000, 11_366), (6, 8, 100_000, 11_366), (42, 220, 100_000, 81)):
+        assert _chunk_size(n, k, batch) == chunk
+    assert _chunk_size(15, 56, 100_000) == _CHUNK_BYTES // (33 * 225 + 8 * 225) == 1_818  # one GEMM
+    assert _chunk_size(42, 220, 100_000) == _CHUNK_BYTES // (33 * 42**2 + 16 * 220 * 42)  # row gather
     assert _chunk_size(6, 8, 0) == 1
     for n in (2, 6, 15, 30, 42, 105):
         for k in (1, n, n * n // 8, n * n // 2):
             b = _chunk_size(n, k, 100_000)
-            per_support = 16 * n * n + (8 * n * n if _gram_by_gemm(n, b, k) else 16 * k * n)
+            per_support = 33 * n * n + (8 * n * n if _gram_by_gemm(n, b, k) else 16 * k * n)
             assert b == 1 or b * per_support <= _CHUNK_BYTES
 
 
@@ -585,11 +659,12 @@ def test_scan_chunk_returns_witness_for_deficient_support(n):
     # Outside the zone: fewer than N off-support rows, so rank < N.
     ext = extension_matrix(build_parabola(make_ring(n)))
     for off_count in (1, 2):
-        supports = _support_batch(n, n * n - off_count, 3, seed=n + off_count)
+        k = n * n - off_count
+        cells = np.random.default_rng(n + off_count).permuted(np.tile(np.arange(n * n), (3, 1)), axis=1)[:, :k]
         for products in (None, _gram_products(ext)):
-            margin, t_flat, coeff = _scan_chunk(ext, supports, products)
+            margin, t_flat, coeff = _scan_chunk(ext, _masks(cells, n), k, products)
             assert margin <= RANK_RTOL
-            assert np.array_equal(t_flat, np.sort(supports[0]))
+            assert np.array_equal(t_flat, np.sort(cells[0]))  # the drawn set, ascending
             off = np.setdiff1d(np.arange(n * n), t_flat)
             assert math.isclose(np.linalg.norm(coeff), 1.0, rel_tol=1e-12)
             assert np.linalg.norm(ext[off] @ coeff) < 1e-10
