@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .families import structured_coefficients, structured_values
 from .fourier import Signal2D, grid_to_json_dict, signal_from_json_dict
-from .parabola import ParabolaSet, build_parabola, decay_profile, energy_exact
+from .parabola import ParabolaSet, build_parabola, decay_bytes, decay_profile, energy_bytes, energy_exact
 from .recovery import LoganParams, erase, logan_recover, random_instance, threshold_sweep
 from .restriction import (
     SATISFACTION_TOL,
@@ -68,6 +68,8 @@ SWEEP_COLUMNS = (
 )
 
 SUMMARY_COLUMNS = ("N", "rows", "max_ratio", "satisfied")
+
+MEMORY_BUDGET = 1 << 30  # bytes one energy or decay modulus may allocate
 
 
 class UsageError(Exception):
@@ -184,7 +186,19 @@ def _fields(obj: Any, columns: Sequence[str]) -> list[Any]:
 Report = tuple[Sequence[str], Any, bool]  # (columns, rows, violated)
 
 
+def _check_memory(args: argparse.Namespace, rings: list[RingContext], estimate) -> None:
+    """UsageError naming the first modulus whose estimate(ring) exceeds MEMORY_BUDGET."""
+    for ring in rings:
+        need = estimate(ring)
+        if need > MEMORY_BUDGET:
+            raise UsageError(
+                f"{args.command} at N={ring.modulus} needs about {need >> 20} MB, "
+                f"over the {MEMORY_BUDGET >> 20} MB budget"
+            )
+
+
 def _cmd_energy(args: argparse.Namespace, rings: list[RingContext]) -> Report:
+    _check_memory(args, rings, energy_bytes)
     rows = []
     violated = False
     for ring in rings:
@@ -195,6 +209,7 @@ def _cmd_energy(args: argparse.Namespace, rings: list[RingContext]) -> Report:
 
 
 def _cmd_decay(args: argparse.Namespace, rings: list[RingContext]) -> Report:
+    _check_memory(args, rings, decay_bytes)
     rows = []
     for ring in rings:
         profile = decay_profile(build_parabola(ring))

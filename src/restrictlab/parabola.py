@@ -7,7 +7,7 @@ restriction / extension maps it induces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -76,19 +76,50 @@ def exp_sum(sigma: ParabolaSet, m: tuple[int, int]) -> complex:
     return complex(_dft_matrix(n)[1, phases].sum())
 
 
+@lru_cache(maxsize=128)
+def _gauss_magnitudes(q: int) -> np.ndarray:
+    """|S_q(a, b)| on the (q, q) grid: the one product |W @ W[t^2 rows]| mod q."""
+    # Its own product, not _extension_kernel's: that one reads conj(W), which
+    # would fill a second matrix cache, and its scaling of the columns by c
+    # makes this one product about 1.5x slower.
+    w = _dft_matrix(q)
+    mags = np.abs(w @ w[np.arange(q) ** 2 % q])
+    mags.setflags(write=False)
+    return mags
+
+
+def decay_bytes(ring: RingContext) -> int:
+    """Peak bytes decay_profile allocates at modulus N.
+
+    The (N, N) magnitudes, one tiled factor and the masked copy (24 N^2)
+    with its tie mask (N^2), plus, at the largest prime power q || N, W_q,
+    its gathered t^2 rows and their product (48 q^2).
+    """
+    n = ring.modulus
+    q = max(p**e for p, e in ring.prime_factors)
+    return 25 * n * n + 48 * q * q
+
+
 def decay_profile(sigma: ParabolaSet) -> DecayProfile:
-    """Exhaustive scan of |S(m)| over all N^2 - 1 nontrivial frequencies.
+    """|S(m)| over all N^2 - 1 nontrivial frequencies, per prime power, then multiplied.
 
     With W[a, b] = exp(-2 pi i a b / N), S(m) = sum_t W[m1, t] W[t^2, m2], so
-    one product W @ W[t^2 rows] gives the whole profile.  For prime N the
-    worst ratio |S(m)|/sqrt(N) is 1; composite squarefree N exceeds it.
+    one product W @ W[t^2 rows] gives the whole profile at modulus N.  By CRT
+    the sum factors over the prime powers q || N: S_N(m) = prod_q S_q(u_q m)
+    with u_q = (N/q)^-1 mod q.  The unit u_q drops out of the magnitude:
+    |S_q(m)|^2 is an integer, and the Galois map that raises exp(2 pi i / q)
+    to the power u_q fixes integers and sends it to |S_q(u_q m)|^2.  So |S_N|
+    is the product of the q x q grids |S_q| tiled over the N x N grid.  A
+    prime power is its own grid, with the bits of the product at N.  For
+    prime N the worst ratio |S(m)|/sqrt(N) is 1; composite squarefree N
+    exceeds it.
     """
-    # Its own product, not _extension_kernel's: that one reads conj(W), which
-    # over a range of moduli fills a second matrix cache, and its scaling of
-    # the columns by c makes this one product about 1.5x slower.
     n = sigma.ring.modulus
-    w = _dft_matrix(n)
-    mags = np.abs(w @ w[sigma.cols])
+    mags = None
+    for p, e in sigma.ring.prime_factors:
+        q = p**e
+        factor = np.tile(_gauss_magnitudes(q), (n // q, n // q))
+        mags = factor if mags is None else np.multiply(mags, factor, out=mags)
     masked = mags.copy()
     masked[0, 0] = -1.0
     max_mag = float(masked.max())
@@ -105,11 +136,9 @@ def decay_profile(sigma: ParabolaSet) -> DecayProfile:
     )
 
 
-def _subset_indices(sigma: ParabolaSet, subset: Iterable | None) -> np.ndarray:
+def _subset_indices(sigma: ParabolaSet, subset: Iterable) -> np.ndarray:
     """Normalize a subset given as t-indices or as points to sorted t-indices."""
     n = sigma.ring.modulus
-    if subset is None:
-        return np.arange(n, dtype=np.intp)
     items = list(subset)
     if not items:
         raise ValueError("subset must be nonempty")
@@ -125,28 +154,62 @@ def _subset_indices(sigma: ParabolaSet, subset: Iterable | None) -> np.ndarray:
     return np.array(sorted(ts), dtype=np.intp)
 
 
-def energy_exact(sigma: ParabolaSet, subset: Iterable | None = None) -> EnergyReport:
-    """Exact E(U) = #{(x, y, x', y') in U^4 : x + y = x' + y'}.
+def _pair_counts(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """(N, N) int64 multiplicities of the pair sums (a_i + a_j, b_i + b_j) mod N.
 
-    Computed by histogramming all |U|^2 pairwise sums and summing squared
-    multiplicities; integer arithmetic throughout, valid for every modulus.
     The sums are binned unreduced, each coordinate in [0, 2N - 2], and the
     (2N)^2 bins are folded mod N afterwards, so no pair pays for a %.
     """
-    n = sigma.ring.modulus
-    idx = _subset_indices(sigma, subset)
-    a = sigma.rows[idx]
-    b = sigma.cols[idx]
     codes = ((a[:, None] + a[None, :]) * (2 * n) + (b[:, None] + b[None, :])).ravel()
     wide = np.bincount(codes, minlength=4 * n * n)
-    counts = wide.reshape(2, n, 2, n).sum(axis=(0, 2), dtype=np.int64)
-    energy = int((counts * counts).sum())
-    size = int(idx.size)
+    return wide.reshape(2, n, 2, n).sum(axis=(0, 2), dtype=np.int64)
+
+
+@lru_cache(maxsize=None)
+def _prime_power_energy(q: int) -> tuple[int, int]:
+    """(E, max_rep) of the full parabola mod q, from its pair-sum counts."""
+    t = np.arange(q, dtype=np.intp)
+    counts = _pair_counts(t, t * t % q, q)
+    return int((counts * counts).sum()), int(counts.max())
+
+
+def energy_bytes(ring: RingContext) -> int:
+    """Peak bytes energy_exact allocates for the full parabola mod N.
+
+    Only the largest prime power q || N is counted: its q^2 pair codes
+    (8 q^2), the (2q)^2 unreduced histogram (32 q^2) and the folded counts
+    (8 q^2).
+    """
+    q = max(p**e for p, e in ring.prime_factors)
+    return 48 * q * q
+
+
+def energy_exact(sigma: ParabolaSet, subset: Iterable | None = None) -> EnergyReport:
+    """Exact E(U) = #{(x, y, x', y') in U^4 : x + y = x' + y'}.
+
+    Squared multiplicities of the |U|^2 pairwise sums, summed; integer
+    arithmetic throughout, valid for every modulus.  A subset is counted at
+    modulus N.  The full parabola is counted per prime power, then
+    multiplied: by CRT it is the product of the parabolas mod each q || N,
+    so its pair-sum multiplicities, and with them E and max_rep, are
+    products of theirs.
+    """
+    ring = sigma.ring
+    n = ring.modulus
+    if subset is None:
+        size, energy, max_rep = n, 1, 1
+        for p, e in ring.prime_factors:
+            energy_q, max_q = _prime_power_energy(p**e)
+            energy, max_rep = energy * energy_q, max_rep * max_q
+    else:
+        idx = _subset_indices(sigma, subset)
+        counts = _pair_counts(sigma.rows[idx], sigma.cols[idx], n)
+        size, energy, max_rep = int(idx.size), int((counts * counts).sum()), int(counts.max())
     return EnergyReport(
         subset_size=size,
         energy=energy,
-        bound=(2**sigma.ring.omega) * size * size,
-        max_rep=int(counts.max()),
+        bound=(2**ring.omega) * size * size,
+        max_rep=max_rep,
     )
 
 

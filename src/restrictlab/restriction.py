@@ -189,7 +189,7 @@ class UniversalCertificate:
 
 
 def universal_certificate(sigma: ParabolaSet) -> UniversalCertificate:
-    """Certificates from exhaustive counting; squarefree moduli only.
+    """Certificates from energy counts per prime power, then multiplied; squarefree moduli only.
 
     lambda_energy bounds every subset at once: for U inside Sigma each pair-sum
     multiplicity is at most the full-set maximum, so E(U) <= max_rep * |U|^2.

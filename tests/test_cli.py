@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from restrictlab import cli
 from restrictlab.cli import main
 from restrictlab.fourier import Signal2D, signal_to_json
 from restrictlab.zmod import make_ring
@@ -130,6 +131,23 @@ def test_usage_errors():
     assert main(["sweep", "--n", "15", "--sizes", "abc"]) == 2
     assert main(["recover", "--n", "15"]) == 2
     assert main(["recover", "--n", "15", "10", "--sizes", "3"]) == 2
+
+
+def test_memory_budget_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # Estimates only: nothing is allocated before the check refuses.
+    out = str(tmp_path / "x.csv")
+    assert main(["decay", "--n", "20000", "--output", out]) == 2
+    assert main(["decay", "--n", "2..5", "20000", "--output", out]) == 2
+    assert main(["energy", "--n", "10007", "--output", out]) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 3 and all("MB budget" in line for line in errors)
+    assert "N=20000" in errors[0] and "N=10007" in errors[2]
+    monkeypatch.setattr(cli, "MEMORY_BUDGET", cli.energy_bytes(make_ring(15)) - 1)
+    assert main(["energy", "--n", "15", "--output", out]) == 2
+    assert main(["energy", "--n", "3", "4", "--output", out]) == 0  # q = 4 fits, 5 does not
+    monkeypatch.setattr(cli, "MEMORY_BUDGET", cli.decay_bytes(make_ring(15)))
+    assert main(["decay", "--n", "15", "--output", out]) == 0
+    assert main(["decay", "--n", "16", "--output", out]) == 2
 
 
 def test_uncertainty_csv(tmp_path):

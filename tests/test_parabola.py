@@ -1,14 +1,19 @@
 """Parabola geometry: energy counts, exponential sums, restrict and extend."""
 
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from restrictlab.fourier import Signal2D, dft, lp_norm
+from restrictlab import parabola
+from restrictlab.fourier import Signal2D, _dft_matrix, dft, lp_norm
 from restrictlab.parabola import (
     build_parabola,
+    decay_bytes,
     decay_profile,
+    energy_bytes,
     energy_exact,
     exp_sum,
     extend_from,
@@ -111,9 +116,11 @@ def energy_by_reduced_histogram(sigma, idx):
 
 
 def test_folded_histogram_matches_reduced_sums():
-    # energy_exact bins unreduced sums into (2N)^2 cells and folds them mod N;
-    # the integers must be those of reducing every pair sum first.
-    for n in range(2, 301):
+    # energy_exact bins unreduced sums into (2N)^2 cells and folds them mod N,
+    # and multiplies the full-set counts over the prime powers of N; the
+    # integers must be those of reducing every pair sum mod N first.  360,
+    # 420, 1001 and 1155 have three or four prime-power factors.
+    for n in [*range(2, 301), 360, 420, 1001, 1155]:
         sigma = build_parabola(make_ring(n))
         report = energy_exact(sigma)
         assert (report.energy, report.max_rep) == energy_by_reduced_histogram(sigma, np.arange(n))
@@ -126,6 +133,55 @@ def test_folded_histogram_matches_reduced_sums():
             report = energy_exact(sigma, [int(t) for t in idx])
             assert (report.energy, report.max_rep) == energy_by_reduced_histogram(sigma, idx)
             assert report.subset_size == size
+
+
+def test_prime_energy_closed_form():
+    # Mod an odd prime a pair sum determines the unordered pair {s, t}: the
+    # p(p-1)/2 sums with s != t have 2 representations, the p with s = t one,
+    # so E = 2p^2 - p.  Mod 2 the four pairs land on 2 sums twice each: E = 8.
+    primes = [p for p in range(2, 301) if distinct_primes(p) == [p]]
+    assert len(primes) == 62
+    for p in primes:
+        report = energy_exact(build_parabola(make_ring(p)))
+        assert (report.energy, report.max_rep) == ((8, 2) if p == 2 else (2 * p * p - p, 2)), p
+
+
+def test_squarefree_energy_density_is_product_of_kappas():
+    # E(Sigma_N) / N^2 = prod_{p | N} kappa_p with kappa_2 = 2, kappa_p = 2 - 1/p,
+    # over every squarefree divisor of 30030 = 2 * 3 * 5 * 7 * 11 * 13.
+    kappa = {2: Fraction(2), **{p: 2 - Fraction(1, p) for p in (3, 5, 7, 11, 13)}}
+    checked = 0
+    for n in range(2, 30031):
+        if 30030 % n:
+            continue
+        ring = make_ring(n)
+        report = energy_exact(build_parabola(ring))
+        assert Fraction(report.energy, n * n) == math.prod(kappa[p] for p, _ in ring.prime_factors), n
+        assert report.max_rep == 2**ring.omega
+        checked += 1
+    assert checked == 63
+
+
+def test_resource_estimates_follow_the_prime_powers():
+    # energy counts only its largest prime power q; decay also holds N x N grids.
+    assert energy_bytes(make_ring(360)) == 48 * 9 * 9
+    assert energy_bytes(make_ring(20000)) == 48 * 625 * 625
+    assert energy_bytes(make_ring(10007)) == 48 * 10007 * 10007
+    assert decay_bytes(make_ring(35)) == 25 * 35 * 35 + 48 * 7 * 7
+    assert decay_bytes(make_ring(20000)) == 25 * 20000 * 20000 + 48 * 625 * 625
+    # At small N the estimates cover what tracemalloc sees numpy allocate,
+    # up to a few kB of per-call objects, with every cache cold.
+    for n in (101, 202, 243, 388, 1001):
+        ring = make_ring(n)
+        sigma = build_parabola(ring)
+        for kernel, estimate in ((energy_exact, energy_bytes), (decay_profile, decay_bytes)):
+            for cache in (parabola._prime_power_energy, parabola._gauss_magnitudes, _dft_matrix):
+                cache.cache_clear()
+            tracemalloc.start()
+            kernel(sigma)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak <= estimate(ring) + 16_384, (n, kernel.__name__)
 
 
 def test_subset_as_point_pairs():
@@ -240,6 +296,23 @@ def test_decay_matches_gauss_sum_oracle():
         assert abs(profile.max_ratio - ratio) < 1e-9, n
         checked += 1
     assert checked == 121
+
+
+def test_decay_profile_matches_direct_product():
+    # The factored profile against the one product |W @ W[t^2 rows]| at N,
+    # for every N including non-squarefree composites such as 12, 72, 200.
+    for n in range(2, 201):
+        w = _dft_matrix(n)
+        direct = np.abs(w @ w[np.arange(n) ** 2 % n])
+        profile = decay_profile(build_parabola(make_ring(n)))
+        assert np.max(np.abs(profile.magnitudes - direct)) <= 1e-12 * n, n
+        masked = direct.copy()
+        masked[0, 0] = -1.0
+        top = masked.max()
+        flat = int(np.argmax(masked >= top * (1.0 - 1e-12)))
+        assert profile.witness == (flat // n, flat % n), n
+        if len(make_ring(n).prime_factors) == 1:
+            assert np.array_equal(profile.magnitudes, direct), n
 
 
 def test_decay_matches_brute_force_scan():
