@@ -24,7 +24,15 @@ import numpy as np
 from . import __version__
 from .families import structured_coefficients, structured_values
 from .fourier import Signal2D, grid_to_json_dict, signal_from_json_dict
-from .parabola import ParabolaSet, build_parabola, decay_bytes, decay_profile, energy_bytes, energy_exact
+from .parabola import (
+    ParabolaSet,
+    build_parabola,
+    decay_bytes,
+    decay_profile,
+    energy_bytes,
+    energy_exact,
+    pair_sum_bytes,
+)
 from .recovery import LoganParams, erase, logan_recover, random_instance, threshold_sweep
 from .restriction import (
     SATISFACTION_TOL,
@@ -69,7 +77,7 @@ SWEEP_COLUMNS = (
 
 SUMMARY_COLUMNS = ("N", "rows", "max_ratio", "satisfied")
 
-MEMORY_BUDGET = 1 << 30  # bytes one energy or decay modulus may allocate
+MEMORY_BUDGET = 1 << 30  # bytes one energy, decay or dual-verify modulus may allocate
 
 
 class UsageError(Exception):
@@ -246,6 +254,7 @@ def _cmd_restrict_verify(args: argparse.Namespace, rings: list[RingContext]) -> 
 
 
 def _cmd_dual_verify(args: argparse.Namespace, rings: list[RingContext]) -> Report:
+    _check_memory(args, rings, pair_sum_bytes)
     return _verify_reports(args, rings, structured_coefficients, verify_dual)
 
 

@@ -173,6 +173,97 @@ def _prime_power_energy(q: int) -> tuple[int, int]:
     return int((counts * counts).sum()), int(counts.max())
 
 
+_PAIR_CHUNK_BYTES = 1 << 20  # bytes of pair products per chunk of rows; small chunks stay in cache
+
+
+@lru_cache(maxsize=128)
+def _pair_classes(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The unordered pairs t <= t' of the parabola mod N, grouped by the class of p_t + p_t'.
+
+    One (left, right) pair of (s, M) index tables per class size s, for the
+    M classes of s unordered pairs; column j lists one class, and every
+    pair appears once.  left indexes a coefficient row c and right the
+    doubled row [c, 2c]: an off-diagonal pair stands for two ordered pairs,
+    so it reads 2c_t'.  Grouping by size keeps the tables at N(N+1)/2
+    entries each, however large a class is (on non-squarefree N a class
+    can hold about p pairs).
+    """
+    # in place and freed early, so the build peaks at 56 P bytes (pair_sum_bytes)
+    t, u = np.triu_indices(n)
+    code = t + u
+    code %= n
+    code *= n
+    norm = t * t
+    norm += u * u
+    norm %= n
+    code += norm
+    del norm
+    order = np.argsort(code, kind="stable")
+    starts = np.flatnonzero(np.diff(code[order], prepend=-1))
+    del code
+    left, right = t[order], u[order]
+    del t, u, order
+    right += n * (left != right)
+    sizes = np.diff(starts, append=left.size)
+    groups = []
+    for s in np.flatnonzero(np.bincount(sizes)):
+        cells = starts[sizes == s] + np.arange(s)[:, None]
+        groups.append((left[cells], right[cells]))
+    return tuple(groups)
+
+
+def _pair_sum_energy(n: int, rows: np.ndarray) -> np.ndarray:
+    """sum_m |b_m|^2 for each row c of a (B, N) complex batch, b_m = sum c_t c_t' over p_t + p_t' = m.
+
+    The sum runs over ordered pairs (t, t') of parabola points p_t = (t, t^2),
+    so the constant row c = 1 gives b_m = r(m), the pair-sum multiplicity,
+    and the additive energy E(Sigma) = sum_m r(m)^2.  Rows go in chunks of
+    about _PAIR_CHUNK_BYTES of products, gathered into two buffers that the
+    chunks share, so fresh pages are touched once per call, not per chunk.
+    Each row's sums run in a fixed order (slot by slot within a class, then
+    over the size groups), so a row has the same bits in every batch.
+    """
+    groups = _pair_classes(n)
+    step = max(1, _PAIR_CHUNK_BYTES // (8 * n * (n + 1)))  # 16 bytes per unordered pair
+    size = min(step, rows.shape[0]) * max(left.size for left, _ in groups)
+    prod_buf, gather_buf = np.empty(size, dtype=np.complex128), np.empty(size, dtype=np.complex128)
+    out = np.empty(rows.shape[0])
+    for i in range(0, rows.shape[0], step):
+        c = rows[i : i + step]
+        doubled = np.concatenate((c, 2.0 * c), axis=1)
+        total = 0.0
+        for left, right in groups:
+            shape = (c.shape[0],) + left.shape
+            prod = prod_buf[: c.shape[0] * left.size].reshape(shape)
+            gather = gather_buf[: prod.size].reshape(shape)
+            # every index is in range; a mode other than "raise" lets np.take
+            # write straight into out instead of through a temporary
+            np.take(c, left, axis=1, out=prod, mode="clip")
+            np.take(doubled, right, axis=1, out=gather, mode="clip")
+            prod *= gather
+            b = prod[:, 0]
+            for j in range(1, left.shape[0]):
+                b += prod[:, j]
+            flat = b.view(np.float64)
+            total = total + np.einsum("ij,ij->i", flat, flat)
+        out[i : i + step] = total
+    return out
+
+
+def pair_sum_bytes(ring: RingContext) -> int:
+    """Peak bytes the pair-sum norms allocate at modulus N, for one chunk of rows.
+
+    Building the class tables peaks at seven int64 arrays over the
+    P = N(N+1)/2 unordered pairs (56 P).  The rows then share two gather
+    buffers of one chunk, twice _PAIR_CHUNK_BYTES (32 P for a single row
+    wider than that), and a chunk holds a few arrays of N per row; the
+    estimate allows three times _PAIR_CHUNK_BYTES.
+    """
+    n = ring.modulus
+    pairs = n * (n + 1) // 2
+    return 56 * pairs + 3 * max(_PAIR_CHUNK_BYTES, 16 * pairs)
+
+
 def energy_bytes(ring: RingContext) -> int:
     """Peak bytes energy_exact allocates for the full parabola mod N.
 

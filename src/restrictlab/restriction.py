@@ -24,6 +24,7 @@ from .fourier import Signal2D, _idft_matrix, dft, dft_array, lp_norm
 from .parabola import (
     ParabolaSet,
     _extension_kernel,
+    _pair_sum_energy,
     build_parabola,
     coefficient_vector,
     energy_exact,
@@ -215,23 +216,39 @@ def _extension_norms(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Normalized L^p and L^q norms of the extensions of coefficient rows (..., N).
 
-    The rows go through parabola's extension kernel as one (B, N) batch.
-    Both norms are homogeneous, so its 1/N goes on the results, not on the
-    N^2 cells.  A single row runs as a batch of one, so it gets the same bits
-    as that row inside a batch.
+    For f = extend_from(c), N f(x) = sum_t c_t e(<x, p_t>/N) over the
+    parabola points p_t = (t, t^2), and the norm of exponent e is
+    (mean_x |N f|^e)^(1/e) / N.  Two exponents come from the coefficients,
+    with no N x N grid:
+
+        e = 2:  mean_x |N f|^2 = sum_t |c_t|^2                  (Parseval),
+        e = 4:  mean_x |N f|^4 = sum_m |b_m|^2,  b_m = sum_{p_t + p_t' = m} c_t c_t',
+
+    the second being the additive-energy identity, with b_m from
+    parabola._pair_sum_energy.  Cauchy-Schwarz within each class m gives
+    |b_m|^2 <= r(m) sum |c_t c_t'|^2, so sum_m |b_m|^2 <= max_rep ||c||_2^4,
+    and max_rep <= 2^omega on squarefree N: the L^4 bound made visible.
+    Every other exponent (1, for verify_l1_l2) reads the grid from
+    parabola._extension_kernel.  Each row's sums run in a fixed order, so a
+    single row gets the same bits as that row inside a batch.
     """
     sigma = _parabola_over(ring, sigma)
     n = ring.modulus
     c = np.asarray(coefficients, dtype=np.complex128)
     if c.shape[-1:] != (n,):
         raise ValueError(f"expected trailing axis {n}, got shape {c.shape}")
-    a = np.abs(_extension_kernel(sigma, c.reshape(-1, n)))
-    a2 = a * a
+    rows = np.ascontiguousarray(c.reshape(-1, n))
+
+    def power_mean(e: float) -> np.ndarray:
+        # mean_x |N f(x)|^e, one per row
+        if e == 2:
+            return _frobenius2(rows)
+        if e == 4:
+            return _pair_sum_energy(n, rows)
+        return (np.abs(_extension_kernel(sigma, rows)) ** e).mean(axis=(-2, -1))
 
     def norm(e: float) -> np.ndarray:
-        # the exponents the checks use come from squaring |f|, not from a**e
-        power = a if e == 1 else a2 if e == 2 else a2 * a2 if e == 4 else a**e
-        return (power.mean(axis=(-2, -1)) ** (1.0 / e) / n).reshape(c.shape[:-1])
+        return (power_mean(e) ** (1.0 / e) / n).reshape(c.shape[:-1])
 
     return norm(p), norm(q)
 
@@ -390,10 +407,10 @@ def _chunk_size(n: int, k: int, batch: int) -> int:
     turns true as the chunk grows, so a chunk capped for the gather is never
     one the GEMM would build.  The exhaustive path draws no uniforms, so its
     chunks are counted high.  _CHUNK_BYTES comes from a measured sweep of 8
-    to 64 MB: smaller chunks pay more probe eigensolves, larger ones stream
-    more fresh memory.  The verdict does not depend on the chunk size: the
-    generator's draws split sequentially and the minimum over chunks is
-    exact.  min_margin can move in its last bits, because BLAS may round a
+    to 64 MB, made while every chunk solved its own probe Grams; larger
+    chunks stream more fresh memory.  The verdict does not depend on the
+    chunk size: the generator's draws split sequentially and the maximum
+    lambda_max over chunks is exact.  min_margin can move in its last bits, because BLAS may round a
     row of the one-GEMM build differently at another chunk size, and the cap
     can switch the build.
     """
@@ -418,13 +435,20 @@ def _grams(ext: np.ndarray, masks: np.ndarray, products: np.ndarray | None) -> n
     return (masks.astype(np.float64) @ products).view(np.complex128).reshape(b, n, n)
 
 
-def _margins(gram: np.ndarray) -> np.ndarray:
-    """Smallest off-support singular value, one per Gram E_T^H E_T.
+def _margin(lam: float | np.ndarray) -> float | np.ndarray:
+    """Smallest off-support singular value of a support whose Gram E_T^H E_T has largest eigenvalue lam.
 
     With orthonormal columns the off-T rows satisfy
     (E_offT)^H E_offT = I - (E_T)^H E_T, so s_min(off) = sqrt(1 - lambda_max).
+    The map is monotone in floating point, so the largest lambda_max gives
+    the smallest margin bit for bit.
     """
-    return np.sqrt(np.clip(1.0 - np.linalg.eigvalsh(gram)[:, -1], 0.0, None))
+    return np.sqrt(np.clip(1.0 - lam, 0.0, None))
+
+
+def _margins(gram: np.ndarray) -> np.ndarray:
+    """_margin of each Gram of a (B, N, N) batch."""
+    return _margin(np.linalg.eigvalsh(gram)[:, -1])
 
 
 _SCREEN_PROBE = 64  # Grams solved first to set the screening level
@@ -434,7 +458,7 @@ _SLICE_BYTES = 1 << 20  # bytes of Grams per second-stage slice; small slices st
 
 
 def _frobenius2(m: np.ndarray) -> np.ndarray:
-    """Squared Frobenius norm of each matrix of a (B, N, N) complex batch."""
+    """Squared Frobenius norm of each item of a (B, ...) C-contiguous complex batch."""
     flat = m.reshape(m.shape[0], -1).view(np.float64)
     return np.einsum("ij,ij->i", flat, flat)
 
@@ -495,53 +519,57 @@ def _fourth_power_bound(gram: np.ndarray, phi2: np.ndarray) -> np.ndarray:
     return (bound4 + _POWER_SLACK * n * n * phi2 * phi2) ** 0.25
 
 
-def _min_margin(gram: np.ndarray, k: int) -> float:
-    """min(_margins(gram)), solving each Gram at most once, and only if its bound can set it.
+def _top_eigenvalue(gram: np.ndarray, k: int, level: float = -math.inf) -> float:
+    """max(level, largest lambda_max over gram), solving only Grams whose bound can exceed the level, each once.
 
-    The min(B, _SCREEN_PROBE) Grams with the largest first-stage bounds (one
-    Frobenius norm each) are solved first; their largest lambda_max L bounds
-    the chunk's from below, so a Gram whose bound plus slack is below L cannot
-    exceed it.  The other first-stage survivors go to the fourth-power bound in
-    slices of at most _SLICE_BYTES of Grams, and only its survivors are solved.
-    The margin is formed once, from the largest lambda_max: x -> sqrt(max(1 - x,
-    0)) is monotone in floating point, so it is the unscreened minimum bit for
-    bit, not an estimate.
+    With no level (a scan's first chunk), the min(B, _SCREEN_PROBE) Grams
+    with the largest first-stage bounds (one Frobenius norm each) are solved
+    first and their largest lambda_max sets it; a later chunk screens
+    against the largest lambda_max of the chunks before it and solves no
+    probes.  A Gram whose bound plus slack is below the level cannot exceed
+    it.  The other first-stage survivors go to the fourth-power bound in
+    slices of at most _SLICE_BYTES of Grams, and only its survivors are
+    solved.  So the result is the unscreened maximum bit for bit, not an
+    estimate.
     """
     n = gram.shape[1]
     phi2 = _frobenius2(gram)
     bound = _lambda_max_bound(phi2, k, n)
-    probe = np.argpartition(bound, -min(gram.shape[0], _SCREEN_PROBE))[-_SCREEN_PROBE:]
-    level = np.linalg.eigvalsh(gram[probe])[:, -1].max()
+    solved = np.zeros(0, dtype=np.intp)
+    if level == -math.inf:
+        solved = np.argpartition(bound, -min(gram.shape[0], _SCREEN_PROBE))[-_SCREEN_PROBE:]
+        level = np.linalg.eigvalsh(gram[solved])[:, -1].max()
     alive = bound + _SCREEN_SLACK >= level
-    alive[probe] = False  # solved already
+    alive[solved] = False
     alive = np.flatnonzero(alive)
     keep = np.zeros(alive.size, dtype=bool)
     step = max(1, _SLICE_BYTES // gram[0].nbytes)
     for i in range(0, alive.size, step):
         s = alive[i : i + step]
         keep[i : i + step] = _fourth_power_bound(gram[s], phi2[s]) + _SCREEN_SLACK >= level
-    top = np.linalg.eigvalsh(gram[alive[keep]])[:, -1].max(initial=level)
-    return float(np.sqrt(np.clip(1.0 - top, 0.0, None)))
+    return float(np.linalg.eigvalsh(gram[alive[keep]])[:, -1].max(initial=level))
 
 
 def _scan_chunk(
-    ext: np.ndarray, masks: np.ndarray, k: int, products: np.ndarray | None
+    ext: np.ndarray, masks: np.ndarray, k: int, products: np.ndarray | None, level: float = -math.inf
 ) -> tuple[float, np.ndarray | None, np.ndarray | None]:
-    """(min margin, witness support, witness coefficients) over one chunk of k-cell support masks.
+    """(top, witness support, witness coefficients) over one chunk of k-cell support masks.
 
-    The witness is the first support whose margin is <= RANK_RTOL, as sorted
-    flat cell indices, with a unit coefficient vector whose extension vanishes
-    off it; both are None when the chunk has no such support.  The vector is
-    the top eigenvector of that support's Gram E_T^H E_T: the columns of E are
-    orthonormal, so ||E_offT c||^2 = 1 - c^H E_T^H E_T c, which is zero at
-    eigenvalue 1.
+    top is _top_eigenvalue of the chunk's Grams at the given level.  The
+    witness is the first support whose margin is <= RANK_RTOL, as sorted
+    flat cell indices, with a unit coefficient vector whose extension
+    vanishes off it; both are None when the chunk has no such support.  The
+    vector is the top eigenvector of that support's Gram E_T^H E_T: the
+    columns of E are orthonormal, so ||E_offT c||^2 = 1 - c^H E_T^H E_T c,
+    which is zero at eigenvalue 1.  A level carried from earlier chunks
+    found no witness there, so a witness can only be one of this chunk's.
     """
     gram = _grams(ext, masks, products)
-    margin = _min_margin(gram, k)
-    if margin > RANK_RTOL:
-        return margin, None, None
+    top = _top_eigenvalue(gram, k, level)
+    if _margin(top) > RANK_RTOL:
+        return top, None, None
     first = int(np.flatnonzero(_margins(gram) <= RANK_RTOL)[0])
-    return margin, np.flatnonzero(masks[first]), np.linalg.eigh(gram[first])[1][:, -1]
+    return top, np.flatnonzero(masks[first]), np.linalg.eigh(gram[first])[1][:, -1]
 
 
 def _random_supports(rng: np.random.Generator, count: int, universe: int, k: int) -> np.ndarray:
@@ -628,12 +656,11 @@ def uncertainty_search(
     else:
         draw, source = _random_supports, spawn_rng(seed, n, max_support)
     checked = 0
-    min_margin = math.inf
+    top = -math.inf  # largest lambda_max so far: the next chunk's screening level
     while checked < scanned:
         masks = draw(source, min(chunk, scanned - checked), universe, max_support)
-        margin, t_flat, coeff = _scan_chunk(ext, masks, max_support, products)
+        top, t_flat, coeff = _scan_chunk(ext, masks, max_support, products, top)
         checked += masks.shape[0]
-        min_margin = min(min_margin, margin)
         if t_flat is not None:
             break
     found = t_flat is not None
@@ -645,7 +672,7 @@ def uncertainty_search(
         coefficients=coeff,
         method=method,
         supports_checked=total if exhaustive and not found else checked,
-        min_margin=min_margin,
+        min_margin=float(_margin(top)),
     )
 
 

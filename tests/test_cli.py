@@ -139,15 +139,19 @@ def test_memory_budget_is_a_usage_error(tmp_path, capsys, monkeypatch):
     assert main(["decay", "--n", "20000", "--output", out]) == 2
     assert main(["decay", "--n", "2..5", "20000", "--output", out]) == 2
     assert main(["energy", "--n", "10007", "--output", out]) == 2
+    assert main(["dual-verify", "--n", "20001", "--output", out]) == 2  # squarefree, so the budget refuses it
     errors = capsys.readouterr().err.splitlines()
-    assert len(errors) == 3 and all("MB budget" in line for line in errors)
-    assert "N=20000" in errors[0] and "N=10007" in errors[2]
+    assert len(errors) == 4 and all("MB budget" in line for line in errors)
+    assert "N=20000" in errors[0] and "N=10007" in errors[2] and "dual-verify at N=20001" in errors[3]
     monkeypatch.setattr(cli, "MEMORY_BUDGET", cli.energy_bytes(make_ring(15)) - 1)
     assert main(["energy", "--n", "15", "--output", out]) == 2
     assert main(["energy", "--n", "3", "4", "--output", out]) == 0  # q = 4 fits, 5 does not
     monkeypatch.setattr(cli, "MEMORY_BUDGET", cli.decay_bytes(make_ring(15)))
     assert main(["decay", "--n", "15", "--output", out]) == 0
     assert main(["decay", "--n", "16", "--output", out]) == 2
+    monkeypatch.setattr(cli, "MEMORY_BUDGET", cli.pair_sum_bytes(make_ring(15)))
+    assert main(["dual-verify", "--n", "15", "--trials", "3", "--output", out]) == 0
+    assert main(["dual-verify", "--n", "21", "--trials", "3", "--output", out]) == 2
 
 
 def test_uncertainty_csv(tmp_path):

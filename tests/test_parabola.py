@@ -17,9 +17,11 @@ from restrictlab.parabola import (
     energy_exact,
     exp_sum,
     extend_from,
+    pair_sum_bytes,
     restrict_to,
 )
 from restrictlab.rng import spawn_rng
+from restrictlab.restriction import dual_ratios
 from restrictlab.zmod import make_ring
 
 
@@ -182,6 +184,25 @@ def test_resource_estimates_follow_the_prime_powers():
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
             assert peak <= estimate(ring) + 16_384, (n, kernel.__name__)
+
+
+def test_pair_sum_estimate_covers_one_chunk():
+    # The class tables' build, then one chunk of rows through the L^4 and
+    # L^2 norms: at small N within what tracemalloc sees numpy allocate, up
+    # to a few kB of per-call objects, with the table cache cold.
+    assert pair_sum_bytes(make_ring(105)) == 56 * 5565 + 3 * parabola._PAIR_CHUNK_BYTES
+    assert pair_sum_bytes(make_ring(20001)) == 104 * (20001 * 20002 // 2)
+    for n in (101, 202, 243, 388, 1001):
+        ring = make_ring(n)
+        sigma = build_parabola(ring)
+        rows = max(1, parabola._PAIR_CHUNK_BYTES // (8 * n * (n + 1)))
+        coeffs = spawn_rng(40, n).standard_normal((rows, n)) + 1j
+        parabola._pair_classes.cache_clear()
+        tracemalloc.start()
+        dual_ratios(ring, coeffs, sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= pair_sum_bytes(ring) + 16_384, n
 
 
 def test_subset_as_point_pairs():

@@ -8,7 +8,7 @@ import pytest
 
 from restrictlab.families import structured_coefficients, structured_values
 from restrictlab.fourier import Signal2D, _dft_matrix, dft, idft_array
-from restrictlab.parabola import build_parabola, embed_coefficients, extend_from
+from restrictlab.parabola import build_parabola, embed_coefficients, energy_exact, extend_from
 from restrictlab.restriction import (
     RANK_RTOL,
     RestrictionParams,
@@ -40,10 +40,11 @@ from restrictlab.restriction import (
     _gram_products,
     _grams,
     _lambda_max_bound,
+    _margin,
     _margins,
-    _min_margin,
     _random_supports,
     _scan_chunk,
+    _top_eigenvalue,
 )
 from restrictlab.rng import spawn_rng
 from restrictlab.zmod import make_ring
@@ -184,12 +185,28 @@ def test_dual_constant_coefficients_fifteen():
 
 
 def test_dual_single_character_ratio_is_one():
-    for n in [5, 6, 15, 35]:
-        sigma = build_parabola(make_ring(n))
+    # A delta vector has one nonzero class sum, c_t^2 = 1, so the pair path
+    # is exact: every delta gives 1.0 to the bit, alone and in a batch.
+    for n in [5, 6, 15, 35, 105]:
+        ring = make_ring(n)
+        sigma = build_parabola(ring)
         coeffs = np.zeros(n, dtype=np.complex128)
         coeffs[3 % n] = 1.0
         report = verify_dual(coeffs, sigma, witness_kind="delta")
         assert math.isclose(report.ratio, 1.0, rel_tol=1e-9)
+        assert all(verify_dual(delta, sigma).ratio == 1.0 for delta in np.eye(n))
+        assert np.all(dual_ratios(ring, np.eye(n), sigma) == 1.0)
+
+
+@pytest.mark.parametrize("n", [n for n in range(2, 61) if make_ring(n).squarefree] + [105])
+def test_dual_ratio_of_the_constant_vector_is_the_energy(n):
+    # For c = 1 the class sums are the pair-sum multiplicities r(m), so
+    # mean_x |N f|^4 = sum_m r(m)^2 = E(Sigma), and the ratio is
+    # (E / N^2)^(1/4) with E the exact integer count.
+    ring = make_ring(n)
+    sigma = build_parabola(ring)
+    want = (energy_exact(sigma).energy / n**2) ** 0.25
+    assert math.isclose(float(dual_ratios(ring, np.ones(n), sigma)), want, rel_tol=1e-15)
 
 
 @pytest.mark.parametrize("n", SQUAREFREE)
@@ -213,14 +230,38 @@ def test_dual_gate():
         verify_dual(np.ones(4), sigma)
 
 
-@pytest.mark.parametrize("n", [6, 15, 35])
+@pytest.mark.parametrize("n", [6, 15, 35, 49, 105])
 def test_dual_wrapper_is_a_batch_of_one(n):
+    # 25 rows span several row chunks at N = 105; N = 49 is not squarefree,
+    # so only dual_ratios takes its single rows.
     ring = make_ring(n)
     sigma = build_parabola(ring)
-    coeffs = spawn_rng(37, n).standard_normal((5, n)) + 0.5j
+    coeffs = spawn_rng(37, n).standard_normal((25, n)) + 0.5j
     ratios = dual_ratios(ring, coeffs, sigma)
     for c, ratio in zip(coeffs, ratios):
-        assert verify_dual(c, sigma).ratio == float(ratio)
+        assert float(dual_ratios(ring, c, sigma)) == float(ratio)
+        if ring.squarefree:
+            assert verify_dual(c, sigma).ratio == float(ratio)
+
+
+def test_only_other_exponents_build_the_extension_grid(monkeypatch):
+    # L^2 and L^4 come from the coefficients; L^1 still reads the grid.
+    ring = make_ring(15)
+    sigma = build_parabola(ring)
+    calls = []
+    kernel = restriction._extension_kernel
+
+    def counting(sigma, rows):
+        calls.append(rows.shape)
+        return kernel(sigma, rows)
+
+    monkeypatch.setattr(restriction, "_extension_kernel", counting)
+    coeffs = spawn_rng(39, 15).standard_normal((4, 15)) + 1j
+    dual_ratios(ring, coeffs, sigma)
+    verify_dual(coeffs[0], sigma)
+    assert calls == []
+    verify_l1_l2(coeffs[0], sigma)
+    assert calls == [(1, 15)]
 
 
 def _extension_norms_by_inverse_transform(ring, coeffs, sigma, p, q):
@@ -228,10 +269,15 @@ def _extension_norms_by_inverse_transform(ring, coeffs, sigma, p, q):
     return (a**p).mean(axis=(-2, -1)) ** (1.0 / p), (a**q).mean(axis=(-2, -1)) ** (1.0 / q)
 
 
-@pytest.mark.parametrize("n", [n for n in range(2, 61) if make_ring(n).squarefree] + [105])
+@pytest.mark.parametrize(
+    "n",
+    [n for n in range(2, 61) if make_ring(n).squarefree] + [105] + [4, 8, 9, 12, 18, 25, 27, 49, 50, 121],
+)
 def test_extension_kernel_matches_inverse_transform(n):
-    # One N x N product per coefficient row gives the norms of the embedded
-    # grid's inverse transform, for every batch shape and both exponent pairs.
+    # The pair sums, Parseval and the N x N product per coefficient row give
+    # the norms of the embedded grid's inverse transform, for every batch
+    # shape and both exponent pairs; the non-squarefree moduli have pair
+    # classes of up to about p pairs.
     ring = make_ring(n)
     sigma = build_parabola(ring)
     rng = spawn_rng(38, n)
@@ -472,9 +518,9 @@ def test_exhaustive_masks_hold_k_cells_through_cell_zero(monkeypatch):
     seen = []
     scan_chunk = restriction._scan_chunk
 
-    def recording(ext, masks, k, products):
+    def recording(ext, masks, k, products, level):
         seen.append(masks)
-        return scan_chunk(ext, masks, k, products)
+        return scan_chunk(ext, masks, k, products, level)
 
     monkeypatch.setattr(restriction, "_scan_chunk", recording)
     verdict = uncertainty_search(build_parabola(make_ring(6)), 4, batch=1000)
@@ -501,7 +547,11 @@ def test_screened_min_margin_is_the_unscreened_minimum(n):
         gemm = _grams(ext, masks, products)
         assert np.allclose(gemm, gathered, atol=1e-14)
         for gram in (gathered, gemm):
-            assert _min_margin(gram, k) == _margins(gram).min()
+            lam = np.linalg.eigvalsh(gram)[:, -1]
+            assert _margin(_top_eigenvalue(gram, k)) == _margins(gram).min()
+            # a level carried from earlier chunks: below, inside and above the chunk's range
+            for level in (lam.min() - 0.1, float(np.median(lam)), lam.max() + 0.1):
+                assert _top_eigenvalue(gram, k, level) == max(level, lam.max())
 
 
 @pytest.mark.parametrize("n, k, count", [(6, 4, 6545), (15, 56, 2000), (21, 110, 400)])
@@ -525,8 +575,34 @@ def test_min_margin_solves_each_gram_at_most_once(n, k, count, monkeypatch):
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-    assert _min_margin(gram, k) == expected
+    assert _margin(_top_eigenvalue(gram, k)) == expected
     assert 0 < len(solved) == len(set(solved))
+    # A search of three chunks carries the largest lambda_max from chunk to
+    # chunk: only the first chunk solves probe Grams, so it solves fewer
+    # matrices than chunks that each set their own level, and its
+    # min_margin is the unscreened minimum.
+    sigma = build_parabola(make_ring(n))
+    top_eigenvalue = restriction._top_eigenvalue
+    levels = []
+
+    def carried(gram, k, level=-math.inf):
+        levels.append(level)
+        return top_eigenvalue(gram, k, level)
+
+    def search(top):
+        monkeypatch.setattr(restriction, "_top_eigenvalue", top)
+        solved.clear()
+        verdict = uncertainty_search(sigma, k, samples=count, seed=n, batch=-(-count // 3))
+        assert not verdict.found and verdict.supports_checked in (count, math.comb(n * n, k))
+        return verdict.min_margin, len(solved)
+
+    margin, carried_solves = search(carried)
+    assert len(levels) == 3 and levels[0] == -math.inf
+    assert levels[1] > -math.inf and levels[1:] == sorted(levels[1:])
+    per_chunk_margin, per_chunk_solves = search(lambda gram, k, level: max(level, top_eigenvalue(gram, k)))
+    unscreened = search(lambda gram, k, level: max(level, float(eigvalsh(gram)[:, -1].max())))[0]
+    assert margin == per_chunk_margin == unscreened
+    assert carried_solves < per_chunk_solves
 
 
 @pytest.mark.parametrize("n", [3, 6, 10, 14, 15, 21, 22, 30])
@@ -601,7 +677,11 @@ def test_zone_edge_scan_matches_unscreened_scan(n, monkeypatch):
     sigma = build_parabola(make_ring(n))
     k = _zone_edge(n)
     screened = uncertainty_search(sigma, k, samples=1500, seed=n, batch=500)
-    monkeypatch.setattr(restriction, "_min_margin", lambda gram, k: float(_margins(gram).min()))
+
+    def solve_all(gram, k, level):
+        return max(level, float(np.linalg.eigvalsh(gram)[:, -1].max()))
+
+    monkeypatch.setattr(restriction, "_top_eigenvalue", solve_all)
     unscreened = uncertainty_search(sigma, k, samples=1500, seed=n, batch=500)
     assert not screened.found and not unscreened.found
     assert screened.supports_checked == unscreened.supports_checked == 1500
@@ -662,8 +742,8 @@ def test_scan_chunk_returns_witness_for_deficient_support(n):
         k = n * n - off_count
         cells = np.random.default_rng(n + off_count).permuted(np.tile(np.arange(n * n), (3, 1)), axis=1)[:, :k]
         for products in (None, _gram_products(ext)):
-            margin, t_flat, coeff = _scan_chunk(ext, _masks(cells, n), k, products)
-            assert margin <= RANK_RTOL
+            top, t_flat, coeff = _scan_chunk(ext, _masks(cells, n), k, products)
+            assert _margin(top) <= RANK_RTOL
             assert np.array_equal(t_flat, np.sort(cells[0]))  # the drawn set, ascending
             off = np.setdiff1d(np.arange(n * n), t_flat)
             assert math.isclose(np.linalg.norm(coeff), 1.0, rel_tol=1e-12)
