@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import time
 from collections.abc import Sequence
@@ -33,7 +32,7 @@ from .parabola import (
     energy_exact,
     pair_sum_bytes,
 )
-from .recovery import LoganParams, erase, logan_recover, random_instance, threshold_sweep
+from .recovery import LoganParams, erase, logan_recover, random_instance, recover_bytes, threshold_sweep
 from .restriction import (
     SATISFACTION_TOL,
     RestrictionParams,
@@ -77,7 +76,7 @@ SWEEP_COLUMNS = (
 
 SUMMARY_COLUMNS = ("N", "rows", "max_ratio", "satisfied")
 
-MEMORY_BUDGET = 1 << 30  # bytes one energy, decay or dual-verify modulus may allocate
+MEMORY_BUDGET = 1 << 30  # bytes one modulus of a budgeted command may allocate
 
 
 class UsageError(Exception):
@@ -117,19 +116,6 @@ def _resolve_moduli(args: argparse.Namespace) -> list[RingContext]:
     if args.command in GATED_COMMANDS and square_factor:
         raise UsageError(f"{args.command} requires squarefree moduli, got {square_factor[0]}")
     return rings
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("RESTRICTLAB_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise UsageError(f"RESTRICTLAB_THREADS must be an integer, got {raw!r}") from None
-    if threads < 1:
-        raise UsageError(f"RESTRICTLAB_THREADS must be >= 1, got {threads}")
-    return threads
 
 
 def _fmt_cell(value: Any) -> str:
@@ -297,6 +283,7 @@ def _cmd_sharpness(args: argparse.Namespace, rings: list[RingContext]) -> Report
 def _cmd_recover(args: argparse.Namespace, rings: list[RingContext]) -> Report:
     if len(rings) != 1:
         raise UsageError("recover takes exactly one modulus")
+    _check_memory(args, rings, recover_bytes)
     ring = rings[0]
     if args.input is not None:
         try:
@@ -336,20 +323,14 @@ def _cmd_recover(args: argparse.Namespace, rings: list[RingContext]) -> Report:
 
 def _cmd_sweep(args: argparse.Namespace, rings: list[RingContext]) -> Report:
     sizes = _parse_int_tokens(args.sizes, "size")
-    threads = _thread_count()
+    _check_memory(args, rings, recover_bytes)
     params = LoganParams(max_iterations=args.max_iterations)
     rows = []
     violated = False
     for ring in rings:
         usable = [k for k in sizes if k <= ring.modulus ** 2]
         for sweep_row in threshold_sweep(
-            ring,
-            usable,
-            args.trials,
-            args.seed,
-            unimodular=args.worst_case,
-            params=params,
-            threads=threads,
+            ring, usable, args.trials, args.seed, unimodular=args.worst_case, params=params
         ):
             rows.append(_fields(sweep_row, SWEEP_COLUMNS))
             below_line = sweep_row.e_size < sweep_row.ds_threshold

@@ -10,9 +10,8 @@ line at N^2 / (4 * 2^omega) for squarefree N.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -162,6 +161,16 @@ def _fit(problem: RecoveryProblem, values: np.ndarray) -> tuple[float, bool | No
     return residual, bool(np.abs(values - problem.true_signal.values).max() <= EXACT_TOL)
 
 
+def recover_bytes(ring: RingContext) -> int:
+    """Peak bytes of one planted instance and its logan_recover solve at modulus N.
+
+    18 complex (N, N) grids of 16 N^2 bytes: W and conj(W), the observed
+    spectrum and the truth, the solver's y, yhat, x, xhat, zhat, z, best z and
+    observations off S, _fit's four temporaries, and one for |y| and the masks.
+    """
+    return 18 * 16 * ring.modulus**2
+
+
 def logan_recover(problem: RecoveryProblem, params: LoganParams = LoganParams()) -> RecoveryResult:
     """l1 minimization subject to the observed spectrum, via Douglas-Rachford.
 
@@ -302,13 +311,6 @@ def random_instance(
     return erase(Signal2D(ring, vals), unobserved, support_hint=support)
 
 
-def _map_ordered(fn: Callable, items: Sequence, threads: int) -> list:
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def threshold_sweep(
     ring: RingContext,
     support_sizes: Iterable[int],
@@ -317,12 +319,12 @@ def threshold_sweep(
     *,
     unimodular: bool = False,
     params: LoganParams = LoganParams(),
-    threads: int = 1,
 ) -> list[SweepRow]:
     """Empirical exact-recovery rates by support size, the parabola erased.
 
-    Each trial draws from its own (seed, size, trial)-keyed stream, so results
-    do not depend on thread count or scheduling.  trials = 0 yields no rows.
+    Each trial draws from its own (seed, size, trial)-keyed stream, so a
+    size's row is the same whichever other sizes are swept with it.
+    trials = 0 yields no rows.
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
@@ -338,16 +340,14 @@ def threshold_sweep(
         e_size = int(e_size)
         if not (1 <= e_size <= n * n):
             raise ValueError(f"support size must be in [1, {n * n}], got {e_size}")
-
-        def run_trial(trial: int, _e=e_size) -> tuple[bool, bool, int]:
-            rng = spawn_rng(seed, _e, trial)
-            problem = random_instance(ring, _e, rng, unobserved=mask, unimodular=unimodular)
+        exact_count = non_unique = iterations = 0
+        for trial in range(trials):
+            rng = spawn_rng(seed, e_size, trial)
+            problem = random_instance(ring, e_size, rng, unobserved=mask, unimodular=unimodular)
             result = logan_recover(problem, params)
-            return bool(result.exact), result.status == "non_unique", result.iterations
-
-        outcomes = _map_ordered(run_trial, range(trials), threads)
-        exact_count = sum(1 for ok, _, _ in outcomes if ok)
-        non_unique = sum(1 for _, tie, _ in outcomes if tie)
+            exact_count += bool(result.exact)
+            non_unique += result.status == "non_unique"
+            iterations += result.iterations
         rows.append(
             SweepRow(
                 n=n,
@@ -358,7 +358,7 @@ def threshold_sweep(
                 non_unique=non_unique,
                 failures=trials - exact_count,
                 exact_rate=exact_count / trials,
-                mean_iterations=float(np.mean([it for _, _, it in outcomes])),
+                mean_iterations=iterations / trials,
                 ds_threshold=ds,
                 improved_threshold=improved,
             )

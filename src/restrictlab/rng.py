@@ -9,9 +9,9 @@ def spawn_rng(seed: int, *path: int) -> np.random.Generator:
     """Generator for the stream addressed by (seed, *path).
 
     Philox is counter based, so streams with different keys never collide and
-    draws do not depend on which thread runs them or in what order.  Keys are
-    zero padded to the seeding pool, so always use the same path arity within
-    one context; trailing zeros do not make a key distinct.
+    each stream's draws do not depend on the order in which streams are used.
+    Keys are zero padded to the seeding pool, so always use the same path
+    arity within one context; trailing zeros do not make a key distinct.
     """
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")

@@ -6,6 +6,7 @@ an independent algebraic identity) and then frozen.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -310,30 +311,32 @@ def test_criterion_09_sharpness_contrast():
     )
 
 
-def test_criterion_10_thread_count_determinism(tmp_path, monkeypatch):
-    runs = {}
-    for threads in ("1", "4"):
-        monkeypatch.setenv("RESTRICTLAB_THREADS", threads)
-        paths = []
+def test_criterion_10_rerun_determinism(tmp_path):
+    walltime = re.compile(r"walltime_s=[0-9.]+")
+
+    def report(name, args):
+        out = tmp_path / name
+        assert main(args + ["--output", str(out)]) == 0
+        return walltime.sub("walltime_s=", out.read_text())
+
+    sweep = ["sweep", "--n", "15", "--trials", "20", "--seed", "1010"]
+    runs = {
+        name: [report(f"{name}-{run}.csv", args) for run in (1, 2)]
         for name, args in (
-            ("sweep", ["sweep", "--n", "15", "--sizes", "2..6", "--trials", "20", "--seed", "1010"]),
+            ("sweep", sweep + ["--sizes", "2..6"]),
             ("verify", ["restrict-verify", "--n", "15", "--trials", "50", "--seed", "1010"]),
             ("dual", ["dual-verify", "--n", "35", "--trials", "50", "--seed", "1010"]),
-        ):
-            out = tmp_path / f"{name}-{threads}.csv"
-            assert main(args + ["--output", str(out)]) == 0
-            paths.append(out)
-        runs[threads] = [p.read_text() for p in paths]
-    import re
-
-    walltime = re.compile(r"walltime_s=[0-9.]+")
-    same = all(
-        walltime.sub("walltime_s=", a) == walltime.sub("walltime_s=", b)
-        for a, b in zip(runs["1"], runs["4"])
-    )
+        )
+    }
+    reruns_same = all(first == second for first, second in runs.values())
+    # A size swept alone gives the same row: trials never share a stream across sizes.
+    rows = runs["sweep"][0].splitlines()[1:-1]
+    alone = [report(f"sweep-{k}.csv", sweep + ["--sizes", str(k)]).splitlines()[1] for k in range(2, 7)]
+    per_size_same = len(rows) == 5 and rows == alone
     record(
         10,
-        same,
+        reruns_same and per_size_same,
         "sweep, restriction, and extension reports are byte-identical across "
-        "thread counts 1 and 4 (wall-time metadata token excluded)",
+        "reruns (wall-time metadata token excluded), and each of the "
+        f"{len(rows)} sweep rows for sizes 2..6 equals that size swept alone",
     )

@@ -154,6 +154,24 @@ def test_memory_budget_is_a_usage_error(tmp_path, capsys, monkeypatch):
     assert main(["dual-verify", "--n", "21", "--trials", "3", "--output", out]) == 2
 
 
+def test_recover_and_sweep_memory_budget(tmp_path, capsys, monkeypatch):
+    # Estimates only: nothing is allocated before the check refuses.
+    out = str(tmp_path / "x.csv")
+    assert main(["sweep", "--n", "20000", "--sizes", "3", "--trials", "1", "--output", out]) == 2
+    assert main(["sweep", "--n", "15", "20000", "--sizes", "3", "--trials", "1", "--output", out]) == 2
+    assert main(["recover", "--n", "20000", "--sizes", "3", "--output", out]) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 3 and all("MB budget" in line for line in errors)
+    assert "sweep at N=20000" in errors[0] and "recover at N=20000" in errors[2]
+    # every benchmark and battery modulus (N <= 105) is far under the budget
+    assert cli.recover_bytes(make_ring(105)) < cli.MEMORY_BUDGET // 100
+    monkeypatch.setattr(cli, "MEMORY_BUDGET", cli.recover_bytes(make_ring(15)))
+    assert main(["recover", "--n", "15", "--sizes", "3", "--output", out]) == 0
+    assert main(["sweep", "--n", "15", "--sizes", "3", "--trials", "1", "--output", out]) == 0
+    assert main(["recover", "--n", "16", "--sizes", "3", "--output", out]) == 2
+    assert main(["sweep", "--n", "15", "16", "--sizes", "3", "--trials", "1", "--output", out]) == 2
+
+
 def test_uncertainty_csv(tmp_path):
     out = tmp_path / "unc.csv"
     code = main(
@@ -265,23 +283,15 @@ def test_json_rerun_identical_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_thread_count_does_not_change_sweep_output(tmp_path, monkeypatch):
+def test_sweep_ignores_the_thread_variable(tmp_path, monkeypatch):
+    # sweep has one execution path and reads no thread count from the environment
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
     args = ["sweep", "--n", "15", "--sizes", "2..5", "--trials", "6", "--seed", "3"]
-    monkeypatch.setenv("RESTRICTLAB_THREADS", "1")
     assert main(args + ["--output", str(a)]) == 0
-    monkeypatch.setenv("RESTRICTLAB_THREADS", "4")
+    monkeypatch.setenv("RESTRICTLAB_THREADS", "zero")
     assert main(args + ["--output", str(b)]) == 0
     assert normalized(a) == normalized(b)
-
-
-def test_bad_thread_env(monkeypatch, tmp_path):
-    monkeypatch.setenv("RESTRICTLAB_THREADS", "zero")
-    args = ["sweep", "--n", "15", "--sizes", "2", "--trials", "1", "--output", str(tmp_path / "x.csv")]
-    assert main(args) == 2
-    monkeypatch.setenv("RESTRICTLAB_THREADS", "0")
-    assert main(args) == 2
 
 
 def test_version_flag_exits_cleanly(capsys):

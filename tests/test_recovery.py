@@ -1,11 +1,13 @@
 """Erasure problems, the l1 solver, least squares, and the threshold sweep."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from restrictlab import recovery
 from restrictlab.families import sparse_values
-from restrictlab.fourier import Signal2D, Spectrum2D, dft, dft_array
+from restrictlab.fourier import Signal2D, Spectrum2D, _dft_matrix, _idft_matrix, dft, dft_array
 from restrictlab.parabola import build_parabola, extend_from
 from restrictlab.recovery import (
     LoganParams,
@@ -15,6 +17,7 @@ from restrictlab.recovery import (
     logan_recover,
     project_feasible,
     random_instance,
+    recover_bytes,
     threshold_sweep,
 )
 from restrictlab.rng import spawn_rng
@@ -248,11 +251,21 @@ def test_sweep_empty_and_validation():
         threshold_sweep(ring, [0], trials=1, seed=1)
 
 
-def test_sweep_thread_count_does_not_change_results():
-    ring = make_ring(15)
-    base = threshold_sweep(ring, [3, 5], trials=8, seed=77, threads=1)
-    threaded = threshold_sweep(ring, [3, 5], trials=8, seed=77, threads=4)
-    assert base == threaded
+def test_recover_bytes_covers_one_solve():
+    assert recover_bytes(make_ring(15)) == 18 * 16 * 15 * 15
+    assert recover_bytes(make_ring(20000)) == 18 * 16 * 20000 * 20000
+    # One planted instance and its solve, as recover and each sweep trial run
+    # them: within what tracemalloc sees numpy allocate, up to a few kB of
+    # per-call objects, with the DFT tables cold.
+    for n in (105, 160):
+        ring = make_ring(n)
+        _dft_matrix.cache_clear()
+        _idft_matrix.cache_clear()
+        tracemalloc.start()
+        logan_recover(random_instance(ring, 5, spawn_rng(42, n)), LoganParams(max_iterations=100))
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= recover_bytes(ring) + 16_384, n
 
 
 def test_sweep_rerun_is_identical():
@@ -260,6 +273,9 @@ def test_sweep_rerun_is_identical():
     a = threshold_sweep(ring, [4], trials=6, seed=13)
     b = threshold_sweep(ring, [4], trials=6, seed=13)
     assert a == b
+    # each size draws from its own streams, whatever else is swept with it
+    both = threshold_sweep(ring, [3, 5], trials=8, seed=77)
+    assert both == threshold_sweep(ring, [3], trials=8, seed=77) + threshold_sweep(ring, [5], trials=8, seed=77)
 
 
 # Trajectory pins: (iterations, status, exact, repr(final_objective),
