@@ -37,7 +37,9 @@ from .restriction import (
     SATISFACTION_TOL,
     RestrictionParams,
     RestrictionReport,
+    restriction_bytes,
     sharpness_probe,
+    uncertainty_bytes,
     uncertainty_search,
     universal_certificate,
     verify_dual,
@@ -228,6 +230,7 @@ def _verify_reports(args: argparse.Namespace, rings: list[RingContext], family, 
 
 
 def _cmd_restrict_verify(args: argparse.Namespace, rings: list[RingContext]) -> Report:
+    _check_memory(args, rings, restriction_bytes)
     params = None if args.r == "4/3" else RestrictionParams(s=2.0, r=6.0 / 5.0, constant=None)
 
     def check(values: np.ndarray, sigma: ParabolaSet, witness_kind: str) -> RestrictionReport:
@@ -245,6 +248,7 @@ def _cmd_dual_verify(args: argparse.Namespace, rings: list[RingContext]) -> Repo
 
 
 def _cmd_certificate(args: argparse.Namespace, rings: list[RingContext]) -> Report:
+    _check_memory(args, rings, energy_bytes)
     rows = []
     violated = False
     for ring in rings:
@@ -256,13 +260,17 @@ def _cmd_certificate(args: argparse.Namespace, rings: list[RingContext]) -> Repo
 
 
 def _cmd_uncertainty(args: argparse.Namespace, rings: list[RingContext]) -> Report:
+    def max_support(ring: RingContext) -> int:
+        if args.max_support is not None:
+            return args.max_support
+        return math.ceil(ring.modulus**2 / 2**ring.omega) - 1
+
+    _check_memory(args, rings, lambda ring: uncertainty_bytes(ring, max_support(ring)))
     rows = []
     found_any = False
     for ring in rings:
-        zone = ring.modulus**2 / 2**ring.omega
-        max_support = math.ceil(zone) - 1 if args.max_support is None else args.max_support
         verdict = uncertainty_search(
-            build_parabola(ring), max_support, samples=args.trials, seed=args.seed
+            build_parabola(ring), max_support(ring), samples=args.trials, seed=args.seed
         )
         rows.append([verdict.n, ring.omega] + _fields(verdict, UNCERTAINTY_COLUMNS[2:]))
         found_any = found_any or verdict.found
@@ -270,6 +278,7 @@ def _cmd_uncertainty(args: argparse.Namespace, rings: list[RingContext]) -> Repo
 
 
 def _cmd_sharpness(args: argparse.Namespace, rings: list[RingContext]) -> Report:
+    _check_memory(args, rings, restriction_bytes)
     rows = []
     for ring in rings:
         probe = sharpness_probe(ring, trials=args.trials, seed=args.seed)

@@ -10,6 +10,7 @@ line at N^2 / (4 * 2^omega) for squarefree N.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -197,7 +198,7 @@ def logan_recover(problem: RecoveryProblem, params: LoganParams = LoganParams())
     x = np.empty((n, n), dtype=np.complex128)
     best_obj = np.inf
     best_z = None
-    objectives: list[float] = []
+    objectives: deque[float] = deque(maxlen=STALL_WINDOW + 1)  # the trailing window only
     status = "max_iterations"
     iterations = params.max_iterations
     for k in range(1, params.max_iterations + 1):
@@ -221,7 +222,7 @@ def logan_recover(problem: RecoveryProblem, params: LoganParams = LoganParams())
             best_obj, best_z = obj, z
         objectives.append(obj)
         if len(objectives) > STALL_WINDOW:
-            prev = objectives[-1 - STALL_WINDOW]
+            prev = objectives[0]
             if abs(obj - prev) <= OBJECTIVE_TOL * max(1.0, abs(obj)):
                 residual = float(np.linalg.norm(xhat[off] - obs_off)) / obs_norm
                 if residual <= FEASIBILITY_TOL:

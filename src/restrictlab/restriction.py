@@ -109,6 +109,29 @@ def _signal_norm(values: np.ndarray, r: float, n: int) -> np.ndarray:
     return (np.abs(values) ** r).sum(axis=(-2, -1)) ** (1.0 / r) / n
 
 
+_GRID_CHUNK_BYTES = 1 << 20  # complex grids per restriction_quantities chunk: a call peaks near 2 MB
+
+
+def _grid_quantities(
+    n: int, values: np.ndarray, sigma: ParabolaSet, s: float, r: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(lhs, rhs) of one (N, N) grid, or of each grid of a (B, N, N) chunk.
+
+    A chunk sums |F|^s over the parabola left to right (np.add.accumulate),
+    the order numpy's mean takes on the gathered batch whenever B >= 2; for
+    B = 1 the mean sums pairwise, so a last chunk of one grid would get
+    other bits than the same grid inside a larger batch.
+    """
+    spectra = dft_array(n, values)
+    powers = np.abs(spectra[..., sigma.rows, sigma.cols]) ** s
+    del spectra  # freed before _signal_norm builds |v| and |v|^r
+    if values.ndim == 2:
+        power_mean = powers.mean(axis=-1)
+    else:
+        power_mean = np.add.accumulate(powers, axis=-1)[:, -1] / n
+    return power_mean ** (1.0 / s), _signal_norm(values, r, n)
+
+
 def restriction_quantities(
     ring: RingContext,
     values: np.ndarray,
@@ -121,15 +144,41 @@ def restriction_quantities(
     lhs is the averaged L^s norm of the transform on the parabola; rhs is
     N^(-d/2) times the counting L^r norm of the signal, constant excluded.
     Both exponents must be at least 1.
+
+    A batch is flattened to (B, N, N) and runs through _grid_quantities in
+    consecutive chunks of whole grids, about _GRID_CHUNK_BYTES of complex
+    grids each and at least one grid, so the transform's temporaries stay a
+    few chunks in size whatever B is.  Each grid's transform is its own
+    matrix product and each reduction runs in a fixed order along one grid,
+    so a batch gets the same bits at any chunk size.  A single (N, N) grid
+    is its own chunk and keeps numpy's reductions over a lone grid; its lhs
+    and rhs can differ in the last bits from the same grid's inside a batch.
     """
     _check_exponents(s=s, r=r)
     n = ring.modulus
     sigma = _parabola_over(ring, sigma)
-    spectra = dft_array(n, values)
-    on_parab = spectra[..., sigma.rows, sigma.cols]
-    lhs = (np.abs(on_parab) ** s).mean(axis=-1) ** (1.0 / s)
-    rhs = _signal_norm(values, r, n)
-    return np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
+    values = np.asarray(values)
+    if values.shape[-2:] != (n, n):
+        raise ValueError(f"expected trailing axes ({n}, {n}), got shape {values.shape}")
+    if values.ndim == 2:
+        lhs, rhs = _grid_quantities(n, values, sigma, s, r)
+        return np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
+    grids = values.reshape(-1, n, n)
+    lhs, rhs = np.empty(len(grids)), np.empty(len(grids))
+    step = max(1, _GRID_CHUNK_BYTES // (16 * n * n))
+    for i in range(0, len(grids), step):
+        lhs[i : i + step], rhs[i : i + step] = _grid_quantities(n, grids[i : i + step], sigma, s, r)
+    return lhs.reshape(values.shape[:-2]), rhs.reshape(values.shape[:-2])
+
+
+def restriction_bytes(ring: RingContext) -> int:
+    """Peak bytes of scoring test signals one at a time at modulus N (restrict-verify, sharpness).
+
+    8 complex (N, N) grids of 16 N^2 bytes: W and conj(W), the signal and
+    its Signal2D copy, the transform's two products, and |f| with |f|^r
+    and a family's index arrays.
+    """
+    return 8 * 16 * ring.modulus**2
 
 
 def _report(
@@ -600,6 +649,26 @@ def _exhaustive_supports(combos: Iterator[tuple[int, ...]], count: int, universe
 
 
 _EXHAUSTIVE_CAP = 2_500_000  # the scan is exhaustive when C(N^2, max_support) is at most this
+_SEARCH_BATCH = 100_000  # uncertainty_search's default cap on supports per chunk
+
+
+def uncertainty_bytes(ring: RingContext, max_support: int, batch: int = _SEARCH_BATCH) -> int:
+    """Peak bytes of uncertainty_search at modulus N, from shapes alone.
+
+    Building the N^2 x N extension matrix E peaks at 40 N^3 bytes: the
+    int64 phases (8 N^3), the gathered roots and E (16 N^3 each).  When
+    _gram_by_gemm picks the GEMM, P = _gram_products(E) adds 16 N^4 and the
+    conj(E) that builds it 16 N^3.  A chunk's arrays take _CHUNK_BYTES, or
+    one support's 41 N^2 + 16 k N when that is more (_chunk_size).  The
+    estimate adds these peaks.  The chunk is sized at batch supports, never
+    fewer than the search uses, so the GEMM is counted whenever the search
+    could pick it.  k is max_support clamped to [1, N^2], so a size outside
+    the zone reaches the search's own check.
+    """
+    n = ring.modulus
+    k = min(max(1, max_support), n * n)
+    products = 16 * n**4 + 16 * n**3 if _gram_by_gemm(n, _chunk_size(n, k, batch), k) else 0
+    return 40 * n**3 + products + max(_CHUNK_BYTES, 41 * n * n + 16 * k * n)
 
 
 def uncertainty_search(
@@ -608,7 +677,7 @@ def uncertainty_search(
     *,
     samples: int = 1_000_000,
     seed: int = 0,
-    batch: int = 100_000,
+    batch: int = _SEARCH_BATCH,
 ) -> UncertaintyVerdict:
     """Look for a nonzero signal with spectrum on the parabola and small support.
 
@@ -692,33 +761,36 @@ def _square_divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % (d * d) == 0]
 
 
+def _probe_candidates(ring: RingContext, trials: int, seed: int) -> Iterator[tuple[str, np.ndarray]]:
+    """(label, grid) of each sharpness candidate, built one at a time: stride boxes, then random draws."""
+    n = ring.modulus
+    for d1, d2 in itertools.product(_square_divisors(n), repeat=2):
+        for a, b in itertools.product(range(d1), range(d2)):
+            yield f"stride_box(d1={d1},d2={d2},a={a},b={b})", stride_box_values(ring, d1, d2, a, b)
+    rng = spawn_rng(seed, n)
+    for i in range(trials):
+        size = int(rng.integers(1, max(2, n * n // 4)))
+        yield f"random_indicator(size={size},trial={i})", sparse_values(ring, rng, size, indicator=True)
+
+
 def sharpness_probe(ring: RingContext, *, trials: int = 200, seed: int = 0) -> ProbeResult:
     """Hunt for large restriction ratios; any modulus, no certified constant.
 
     The structured family runs over indicators of stride boxes
     {a + d1*i} x {b + d2*j} for every ordered divisor pair with d1^2 | N and
     d2^2 | N (d = 1 included, so lines and the full grid appear), plus random
-    sparse indicators.  Each candidate is scored at r = 4/3 and r = 6/5.
-    trials must be >= 0.
+    sparse indicators.  Each candidate is scored at r = 4/3 and r = 6/5 as
+    it is built, so a few grids are alive at once however many candidates
+    there are; scoring draws nothing from the generator.  trials must be
+    >= 0.
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     sigma = build_parabola(ring)
     n = ring.modulus
-    candidates: list[tuple[str, np.ndarray]] = []
-    for d1, d2 in itertools.product(_square_divisors(n), repeat=2):
-        for a, b in itertools.product(range(d1), range(d2)):
-            label = f"stride_box(d1={d1},d2={d2},a={a},b={b})"
-            candidates.append((label, stride_box_values(ring, d1, d2, a, b)))
-    rng = spawn_rng(seed, n)
-    for i in range(trials):
-        size = int(rng.integers(1, max(2, n * n // 4)))
-        vals = sparse_values(ring, rng, size, indicator=True)
-        candidates.append((f"random_indicator(size={size},trial={i})", vals))
-
     reports: list[RestrictionReport] = []
     best_ratio, best_witness = 0.0, ""
-    for label, vals in candidates:
+    for label, vals in _probe_candidates(ring, trials, seed):
         # the lhs does not depend on r, so each candidate is transformed once
         lhs, rhs_43 = restriction_quantities(ring, vals, sigma, 2.0, 4.0 / 3.0)
         for r, rhs in ((4.0 / 3.0, rhs_43), (6.0 / 5.0, _signal_norm(vals, 6.0 / 5.0, n))):

@@ -2,13 +2,14 @@
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from restrictlab import cli
 from restrictlab.cli import main
-from restrictlab.fourier import Signal2D, signal_to_json
+from restrictlab.fourier import Signal2D, _dft_matrix, _idft_matrix, signal_to_json
 from restrictlab.zmod import make_ring
 
 WALLTIME = re.compile(r"walltime_s=[0-9.]+")
@@ -170,6 +171,56 @@ def test_recover_and_sweep_memory_budget(tmp_path, capsys, monkeypatch):
     assert main(["sweep", "--n", "15", "--sizes", "3", "--trials", "1", "--output", out]) == 0
     assert main(["recover", "--n", "16", "--sizes", "3", "--output", out]) == 2
     assert main(["sweep", "--n", "15", "16", "--sizes", "3", "--trials", "1", "--output", out]) == 2
+
+
+def test_scoring_search_and_certificate_memory_budget(tmp_path, capsys, monkeypatch):
+    # Estimates only: nothing is allocated before the check refuses.
+    out = str(tmp_path / "x.csv")
+    assert main(["restrict-verify", "--n", "3001", "--trials", "1", "--output", out]) == 2
+    assert main(["sharpness", "--n", "9", "3001", "--trials", "1", "--output", out]) == 2
+    assert main(["uncertainty", "--n", "1001", "--trials", "1", "--output", out]) == 2
+    assert main(["certificate", "--n", "10007", "--output", out]) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 4 and all("MB budget" in line for line in errors)
+    assert "restrict-verify at N=3001" in errors[0] and "sharpness at N=3001" in errors[1]
+    assert "uncertainty at N=1001" in errors[2] and "certificate at N=10007" in errors[3]
+    assert cli.restriction_bytes(make_ring(3001)) == 8 * 16 * 3001**2
+    assert main(["uncertainty", "--n", "15", "--max-support", str(10**9), "--output", out]) == 2
+    assert "max_support" in capsys.readouterr().err  # the zone check, not the budget
+    # every benchmark and battery modulus (N <= 105) is far under the budget
+    assert cli.restriction_bytes(make_ring(105)) < cli.MEMORY_BUDGET // 100
+    assert cli.uncertainty_bytes(make_ring(105), 1377) < cli.MEMORY_BUDGET // 10
+    monkeypatch.setattr(cli, "MEMORY_BUDGET", cli.restriction_bytes(make_ring(15)))
+    assert main(["restrict-verify", "--n", "15", "--trials", "3", "--output", out]) == 0
+    assert main(["sharpness", "--n", "15", "--trials", "3", "--output", out]) == 0
+    assert main(["restrict-verify", "--n", "21", "--trials", "3", "--output", out]) == 2
+    assert main(["sharpness", "--n", "16", "--trials", "3", "--output", out]) == 2
+    monkeypatch.setattr(cli, "MEMORY_BUDGET", cli.uncertainty_bytes(make_ring(15), 4))
+    assert main(["uncertainty", "--n", "15", "--max-support", "4", "--trials", "50", "--output", out]) == 0
+    assert main(["uncertainty", "--n", "21", "--max-support", "4", "--trials", "50", "--output", out]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["restrict-verify", "--n", "105", "--trials", "30"],
+        ["restrict-verify", "--n", "105", "--trials", "30", "--r", "6/5"],
+        ["sharpness", "--n", "121", "--trials", "10"],
+    ],
+)
+def test_restriction_bytes_covers_one_modulus(tmp_path, argv):
+    # One command at one modulus, after a warm-up run that pays one-time
+    # costs: within what tracemalloc sees numpy allocate, up to a few kB of
+    # per-call objects, with the DFT tables cold.
+    out = str(tmp_path / "x.csv")
+    assert main(argv + ["--output", out]) == 0
+    _dft_matrix.cache_clear()
+    _idft_matrix.cache_clear()
+    tracemalloc.start()
+    assert main(argv + ["--output", out]) == 0
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= cli.restriction_bytes(make_ring(int(argv[2]))) + 16_384
 
 
 def test_uncertainty_csv(tmp_path):

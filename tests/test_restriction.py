@@ -2,12 +2,13 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from restrictlab.families import structured_coefficients, structured_values
-from restrictlab.fourier import Signal2D, _dft_matrix, dft, idft_array
+from restrictlab.fourier import Signal2D, _dft_matrix, _idft_matrix, dft, dft_array, idft_array
 from restrictlab.parabola import build_parabola, embed_coefficients, energy_exact, extend_from
 from restrictlab.restriction import (
     RANK_RTOL,
@@ -20,6 +21,7 @@ from restrictlab.restriction import (
     restriction_quantities,
     sharpness_probe,
     stride_box_values,
+    uncertainty_bytes,
     uncertainty_search,
     universal_certificate,
     verify_dual,
@@ -30,6 +32,7 @@ from restrictlab.restriction import (
 from restrictlab import restriction
 from restrictlab.restriction import (
     _CHUNK_BYTES,
+    _GRID_CHUNK_BYTES,
     _SCREEN_PROBE,
     _SCREEN_SLACK,
     _chunk_size,
@@ -44,6 +47,7 @@ from restrictlab.restriction import (
     _margins,
     _random_supports,
     _scan_chunk,
+    _signal_norm,
     _top_eigenvalue,
 )
 from restrictlab.rng import spawn_rng
@@ -306,18 +310,101 @@ def test_extension_kernel_matches_inverse_transform(n):
 @pytest.mark.parametrize("n", [6, 15, 35, 105])
 def test_restriction_lhs_matches_dense_transform_bit_for_bit(n):
     # lhs from the scaled transform equals the W @ X @ W / N formula read on
-    # the parabola, bit for bit, on single grids and batches.
+    # the parabola, bit for bit, on single grids, a batch in one chunk and a
+    # batch over several chunks.
     ring = make_ring(n)
     sigma = build_parabola(ring)
     w = _dft_matrix(n)
     rng = spawn_rng(39, n)
-    for shape in ((n, n), (5, n, n)):
+    step = _GRID_CHUNK_BYTES // (16 * n * n)
+    for shape in ((n, n), (5, n, n), (2 * step + 3, n, n)):
         vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         on_parab = (np.matmul(w, np.matmul(vals, w)) / n)[..., sigma.rows, sigma.cols]
         want = (np.abs(on_parab) ** 2.0).mean(axis=-1) ** 0.5
         lhs, _ = restriction_quantities(ring, vals, sigma)
         assert lhs.shape == shape[:-2]
         assert np.array_equal(lhs, want)
+
+
+def _unchunked_quantities(n, values, sigma, s=2.0, r=4.0 / 3.0):
+    # the kernel's expressions on the whole batch at once, with numpy's mean
+    on_parab = dft_array(n, values)[..., sigma.rows, sigma.cols]
+    return (np.abs(on_parab) ** s).mean(axis=-1) ** (1.0 / s), _signal_norm(values, r, n)
+
+
+@pytest.mark.parametrize(
+    "n, lead",
+    [
+        (105, (250,)),  # the benchmark's N = 105 batch
+        (105, (51 * (_GRID_CHUNK_BYTES // (16 * 105 * 105)) + 1,)),  # the last chunk holds one grid
+        (35, (10, 25)),
+        (6, (3, 700)),  # a chunk boundary inside the leading axes
+    ],
+)
+def test_chunked_batch_matches_the_unchunked_batch_bit_for_bit(n, lead):
+    ring = make_ring(n)
+    sigma = build_parabola(ring)
+    rng = spawn_rng(41, n)
+    shape = lead + (n, n)
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    last = values.reshape(-1, n, n)[-1:]
+    for s, r in ((2.0, 4.0 / 3.0), (4.0, 6.0 / 5.0)):
+        lhs, rhs = restriction_quantities(ring, values, sigma, s, r)
+        want_lhs, want_rhs = _unchunked_quantities(n, values, sigma, s, r)
+        assert lhs.shape == rhs.shape == values.shape[:-2]
+        assert np.array_equal(lhs, want_lhs) and np.array_equal(rhs, want_rhs)
+        # a grid gets the same bits in a batch of one as inside the larger batch
+        one_lhs, one_rhs = restriction_quantities(ring, last, sigma, s, r)
+        assert one_lhs.shape == one_rhs.shape == (1,)
+        assert one_lhs[0] == lhs.reshape(-1)[-1] and one_rhs[0] == rhs.reshape(-1)[-1]
+
+
+@pytest.mark.parametrize("n", [9, 15])
+def test_single_grid_quantities_keep_the_lone_grid_reductions(n):
+    # a single (N, N) grid is not reshaped to (1, N, N): its bits are those
+    # of numpy's reductions over the lone grid
+    ring = make_ring(n)
+    sigma = build_parabola(ring)
+    grid = spawn_rng(43, n).standard_normal((n, n)) + 1j
+    lhs, rhs = restriction_quantities(ring, grid, sigma)
+    want_lhs, want_rhs = _unchunked_quantities(n, grid, sigma)
+    assert lhs.shape == rhs.shape == ()
+    assert lhs == want_lhs and rhs == want_rhs
+    with pytest.raises(ValueError, match="trailing axes"):
+        restriction_quantities(ring, grid.reshape(-1), sigma)
+
+
+@pytest.mark.parametrize("n, batch", [(35, 200), (35, 1000), (105, 60)])
+def test_batched_quantities_hold_a_few_chunks(n, batch):
+    # tracemalloc peak of one batched call, the input excluded: a few chunks
+    # plus the outputs, whatever the batch size
+    ring = make_ring(n)
+    sigma = build_parabola(ring)
+    values = spawn_rng(44, n).standard_normal((batch, n, n)) + 1j
+    restriction_quantities(ring, values[:2], sigma)
+    tracemalloc.start()
+    restriction_quantities(ring, values, sigma)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 3 * _GRID_CHUNK_BYTES + 16 * batch
+
+
+def test_uncertainty_bytes_covers_one_search():
+    assert uncertainty_bytes(make_ring(105), 1377) == 40 * 105**3 + _CHUNK_BYTES  # the gather
+    assert uncertainty_bytes(make_ring(35), 306) == 40 * 35**3 + 16 * 35**4 + 16 * 35**3 + _CHUNK_BYTES
+    assert uncertainty_bytes(make_ring(1001), 10) > 16 * 1001**3
+    # exhaustive, GEMM and gather scans: within what tracemalloc sees numpy
+    # allocate, with the DFT tables cold
+    for n, k, samples in ((6, 4, 500), (15, 56, 300), (30, 100, 100), (35, 60, 50)):
+        ring = make_ring(n)
+        sigma = build_parabola(ring)
+        _dft_matrix.cache_clear()
+        _idft_matrix.cache_clear()
+        tracemalloc.start()
+        uncertainty_search(sigma, k, samples=samples, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= uncertainty_bytes(ring, k), (n, k)
 
 
 @pytest.mark.parametrize("other", [5, 21])
@@ -774,6 +861,19 @@ def test_probe_reports_both_exponents():
     exponents = {report.r for report in probe.reports}
     assert exponents == {4.0 / 3.0, 6.0 / 5.0}
     assert all(report.constant is None for report in probe.reports)
+
+
+def test_probe_scores_each_candidate_as_it_is_built():
+    # 64 stride boxes and 200 draws at N = 49; all 264 grids together take
+    # 264 * 16 N^2 bytes, the streamed probe a few grids and its reports
+    ring = make_ring(49)
+    sharpness_probe(ring, trials=2)
+    tracemalloc.start()
+    probe = sharpness_probe(ring, trials=200, seed=0)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert len(probe.reports) == 2 * 264
+    assert peak < 20 * 16 * 49 * 49
 
 
 def test_probe_squarefree_stays_bounded():
