@@ -22,9 +22,10 @@ import numpy as np
 
 from . import __version__
 from .families import structured_coefficients, structured_values
-from .fourier import Signal2D, grid_to_json_dict, signal_from_json_dict
+from .fourier import Signal2D, _dft_matrix, _idft_matrix, grid_to_json_dict, signal_from_json_dict
 from .parabola import (
     ParabolaSet,
+    _pair_classes,
     build_parabola,
     decay_bytes,
     decay_profile,
@@ -193,6 +194,20 @@ def _check_memory(args: argparse.Namespace, rings: list[RingContext], estimate) 
             )
 
 
+def _one_modulus_at_a_time(rings: list[RingContext]):
+    """Each ring in turn, with the per-modulus table caches dropped before it.
+
+    W and conj(W) stay cached at 32 N^2 bytes a modulus, the pair-class
+    tables at about 8 N^2.  Dropping them keeps one modulus's tables at a
+    time, the case that _check_memory's per-modulus estimates count.
+    """
+    for ring in rings:
+        _dft_matrix.cache_clear()
+        _idft_matrix.cache_clear()
+        _pair_classes.cache_clear()
+        yield ring
+
+
 def _cmd_energy(args: argparse.Namespace, rings: list[RingContext]) -> Report:
     _check_memory(args, rings, energy_bytes)
     rows = []
@@ -220,7 +235,7 @@ def _verify_reports(args: argparse.Namespace, rings: list[RingContext], family, 
     """One row per labeled member of family(ring, trials, rng), scored by check."""
     rows = []
     violated = False
-    for ring in rings:
+    for ring in _one_modulus_at_a_time(rings):
         sigma = build_parabola(ring)
         for label, member in family(ring, args.trials, spawn_rng(args.seed, ring.modulus)):
             report = check(member, sigma, witness_kind=label)
@@ -280,7 +295,7 @@ def _cmd_uncertainty(args: argparse.Namespace, rings: list[RingContext]) -> Repo
 def _cmd_sharpness(args: argparse.Namespace, rings: list[RingContext]) -> Report:
     _check_memory(args, rings, restriction_bytes)
     rows = []
-    for ring in rings:
+    for ring in _one_modulus_at_a_time(rings):
         probe = sharpness_probe(ring, trials=args.trials, seed=args.seed)
         for r in (4.0 / 3.0, 6.0 / 5.0):
             scored = [rep for rep in probe.reports if rep.r == r]
@@ -336,7 +351,7 @@ def _cmd_sweep(args: argparse.Namespace, rings: list[RingContext]) -> Report:
     params = LoganParams(max_iterations=args.max_iterations)
     rows = []
     violated = False
-    for ring in rings:
+    for ring in _one_modulus_at_a_time(rings):
         usable = [k for k in sizes if k <= ring.modulus ** 2]
         for sweep_row in threshold_sweep(
             ring, usable, args.trials, args.seed, unimodular=args.worst_case, params=params

@@ -652,7 +652,7 @@ _EXHAUSTIVE_CAP = 2_500_000  # the scan is exhaustive when C(N^2, max_support) i
 _SEARCH_BATCH = 100_000  # uncertainty_search's default cap on supports per chunk
 
 
-def uncertainty_bytes(ring: RingContext, max_support: int, batch: int = _SEARCH_BATCH) -> int:
+def uncertainty_bytes(ring: RingContext, max_support: int) -> int:
     """Peak bytes of uncertainty_search at modulus N, from shapes alone.
 
     Building the N^2 x N extension matrix E peaks at 40 N^3 bytes: the
@@ -660,14 +660,14 @@ def uncertainty_bytes(ring: RingContext, max_support: int, batch: int = _SEARCH_
     _gram_by_gemm picks the GEMM, P = _gram_products(E) adds 16 N^4 and the
     conj(E) that builds it 16 N^3.  A chunk's arrays take _CHUNK_BYTES, or
     one support's 41 N^2 + 16 k N when that is more (_chunk_size).  The
-    estimate adds these peaks.  The chunk is sized at batch supports, never
-    fewer than the search uses, so the GEMM is counted whenever the search
-    could pick it.  k is max_support clamped to [1, N^2], so a size outside
-    the zone reaches the search's own check.
+    estimate adds these peaks.  The chunk is sized at _SEARCH_BATCH supports,
+    never fewer than the search uses, so the GEMM is counted whenever the
+    search could pick it.  k is max_support clamped to [1, N^2], so a size
+    outside the zone reaches the search's own check.
     """
     n = ring.modulus
     k = min(max(1, max_support), n * n)
-    products = 16 * n**4 + 16 * n**3 if _gram_by_gemm(n, _chunk_size(n, k, batch), k) else 0
+    products = 16 * n**4 + 16 * n**3 if _gram_by_gemm(n, _chunk_size(n, k, _SEARCH_BATCH), k) else 0
     return 40 * n**3 + products + max(_CHUNK_BYTES, 41 * n * n + 16 * k * n)
 
 

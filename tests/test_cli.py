@@ -10,6 +10,7 @@ import pytest
 from restrictlab import cli
 from restrictlab.cli import main
 from restrictlab.fourier import Signal2D, _dft_matrix, _idft_matrix, signal_to_json
+from restrictlab.parabola import _pair_classes
 from restrictlab.zmod import make_ring
 
 WALLTIME = re.compile(r"walltime_s=[0-9.]+")
@@ -210,17 +211,35 @@ def test_scoring_search_and_certificate_memory_budget(tmp_path, capsys, monkeypa
 )
 def test_restriction_bytes_covers_one_modulus(tmp_path, argv):
     # One command at one modulus, after a warm-up run that pays one-time
-    # costs: within what tracemalloc sees numpy allocate, up to a few kB of
-    # per-call objects, with the DFT tables cold.
+    # costs, with the DFT tables cold: within what tracemalloc sees numpy
+    # allocate, up to one more (N, N) grid of per-call objects.
     out = str(tmp_path / "x.csv")
     assert main(argv + ["--output", out]) == 0
+    n = int(argv[2])
     _dft_matrix.cache_clear()
     _idft_matrix.cache_clear()
     tracemalloc.start()
     assert main(argv + ["--output", out]) == 0
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert peak <= cli.restriction_bytes(make_ring(int(argv[2]))) + 16_384
+    assert peak <= cli.restriction_bytes(make_ring(n)) + 16 * n * n
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["restrict-verify", "--n", "6", "10", "15", "--trials", "2"],
+        ["dual-verify", "--n", "6", "10", "15", "--trials", "2"],
+        ["sharpness", "--n", "6", "10", "15", "--trials", "2"],
+        ["sweep", "--n", "6", "10", "--sizes", "2", "--trials", "1"],
+    ],
+)
+def test_commands_keep_one_modulus_of_tables(tmp_path, argv):
+    # Each modulus passes the memory check alone, so a list of moduli must
+    # not keep the earlier moduli's tables cached.
+    assert main(argv + ["--output", str(tmp_path / "x.csv")]) == 0
+    for cache in (_dft_matrix, _idft_matrix, _pair_classes):
+        assert cache.cache_info().currsize <= 1, cache
 
 
 def test_uncertainty_csv(tmp_path):
