@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 import time
 from collections.abc import Sequence
@@ -33,9 +32,10 @@ from .parabola import (
     energy_exact,
     pair_sum_bytes,
 )
-from .recovery import LoganParams, erase, logan_recover, random_instance, recover_bytes, threshold_sweep
+from .recovery import (
+    LoganParams, erase, logan_recover, random_instance, recover_bytes, recovery_thresholds, threshold_sweep
+)
 from .restriction import (
-    SATISFACTION_TOL,
     RestrictionParams,
     RestrictionReport,
     restriction_bytes,
@@ -46,6 +46,7 @@ from .restriction import (
     verify_dual,
     verify_main_theorem,
     verify_restriction,
+    zone_edge,
 )
 from .rng import spawn_rng
 from .zmod import RingContext, make_ring
@@ -264,21 +265,14 @@ def _cmd_dual_verify(args: argparse.Namespace, rings: list[RingContext]) -> Repo
 
 def _cmd_certificate(args: argparse.Namespace, rings: list[RingContext]) -> Report:
     _check_memory(args, rings, energy_bytes)
-    rows = []
-    violated = False
-    for ring in rings:
-        cert = universal_certificate(build_parabola(ring))
-        ok = cert.implied_constant <= cert.certified_constant + SATISFACTION_TOL
-        rows.append(_fields(cert, CERTIFICATE_COLUMNS[:-1]) + [ok])
-        violated = violated or not ok
-    return CERTIFICATE_COLUMNS, rows, violated
+    certs = [universal_certificate(build_parabola(ring)) for ring in rings]
+    rows = [_fields(cert, CERTIFICATE_COLUMNS) for cert in certs]
+    return CERTIFICATE_COLUMNS, rows, not all(cert.satisfied for cert in certs)
 
 
 def _cmd_uncertainty(args: argparse.Namespace, rings: list[RingContext]) -> Report:
     def max_support(ring: RingContext) -> int:
-        if args.max_support is not None:
-            return args.max_support
-        return math.ceil(ring.modulus**2 / 2**ring.omega) - 1
+        return zone_edge(ring) if args.max_support is None else args.max_support
 
     _check_memory(args, rings, lambda ring: uncertainty_bytes(ring, max_support(ring)))
     rows = []
@@ -331,9 +325,8 @@ def _cmd_recover(args: argparse.Namespace, rings: list[RingContext]) -> Report:
         rng = spawn_rng(args.seed, e_size, 0)
         problem = random_instance(ring, e_size, rng, unimodular=args.worst_case)
     result = logan_recover(problem, LoganParams(max_iterations=args.max_iterations))
-    n = ring.modulus
     s_size = int(problem.unobserved.sum())
-    ds = n * n / (2.0 * s_size)
+    ds, improved = recovery_thresholds(ring, s_size)
     violated = e_size is not None and e_size < ds and result.exact is not True
     solver = dict(zip(SOLVER_COLUMNS, _fields(result, SOLVER_COLUMNS)))
     if args.format == "json":
@@ -341,12 +334,13 @@ def _cmd_recover(args: argparse.Namespace, rings: list[RingContext]) -> Report:
         doc["missing"] = [[int(a), int(b)] for a, b in np.argwhere(problem.unobserved)]
         doc.update(solver)
         return RECOVER_COLUMNS, doc, violated
-    improved = n * n / (4.0 * 2**ring.omega)
-    return RECOVER_COLUMNS, [[n, s_size, e_size, *solver.values(), ds, improved]], violated
+    return RECOVER_COLUMNS, [[ring.modulus, s_size, e_size, *solver.values(), ds, improved]], violated
 
 
 def _cmd_sweep(args: argparse.Namespace, rings: list[RingContext]) -> Report:
     sizes = _parse_int_tokens(args.sizes, "size")
+    if min(sizes) > max(ring.modulus for ring in rings) ** 2:
+        raise UsageError("no support sizes left after dropping those above N^2")
     _check_memory(args, rings, recover_bytes)
     params = LoganParams(max_iterations=args.max_iterations)
     rows = []

@@ -1,7 +1,7 @@
 """The parabola {(t, t^2) : t in Z/NZ} as a frequency set.
 
-Exponential sums over it, exact additive energy of its subsets, and the
-restriction / extension maps it induces.
+Exponential sums over it, exact additive energy of its subsets with the
+paper's bound 2^omega (energy_constant), and its restriction / extension maps.
 """
 
 from __future__ import annotations
@@ -47,13 +47,22 @@ def build_parabola(ring: RingContext) -> ParabolaSet:
     return ParabolaSet(ring, tuple((t, (t * t) % n) for t in range(n)))
 
 
+def energy_constant(ring: RingContext) -> int:
+    """2^omega(N), exact: on squarefree N no pair sum of the parabola has more representations.
+
+    The one source of the certified constant 2^(omega/4), the energy bound 2^omega |U|^2,
+    the forbidden zone |T| < N^2 / 2^omega and the recovery line N^2 / (4 * 2^omega).
+    """
+    return 1 << ring.omega
+
+
 @dataclass(frozen=True)
 class EnergyReport:
     """Exact additive-energy count for a subset U of the parabola."""
 
     subset_size: int
     energy: int
-    bound: int  # 2^omega * |U|^2, certified for squarefree moduli
+    bound: int  # energy_constant * |U|^2, certified for squarefree moduli
     max_rep: int
 
 
@@ -299,7 +308,7 @@ def energy_exact(sigma: ParabolaSet, subset: Iterable | None = None) -> EnergyRe
     return EnergyReport(
         subset_size=size,
         energy=energy,
-        bound=(2**ring.omega) * size * size,
+        bound=energy_constant(ring) * size * size,
         max_rep=max_rep,
     )
 

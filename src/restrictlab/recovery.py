@@ -5,7 +5,7 @@ spectrum off S (Douglas-Rachford splitting between the complex soft-threshold
 and the affine projection onto the data constraint).  A least-squares path
 handles the case where the spatial support is known.  Exact recovery is
 guaranteed when |support| * |S| < N^2 / 2, with an improved parabola-specific
-line at N^2 / (4 * 2^omega) for squarefree N.
+line at N^2 / (4 * 2^omega) for squarefree N; recovery_thresholds gives both.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .families import sparse_values
 from .fourier import Signal2D, Spectrum2D, _dft_matrix, dft_array, idft_array
-from .parabola import ParabolaSet, build_parabola
+from .parabola import ParabolaSet, build_parabola, energy_constant
 from .rng import spawn_rng
 from .zmod import RingContext
 
@@ -304,12 +304,19 @@ def random_instance(
     unobserved=None,
     unimodular: bool = False,
 ) -> RecoveryProblem:
-    """Planted instance: random support of e_size, random amplitudes, erased S."""
+    """Planted instance: random support of e_size in [1, N^2], random amplitudes, erased S."""
     n = ring.modulus
+    if not (1 <= e_size <= n * n):
+        raise ValueError(f"support size must be in [1, {n * n}], got {e_size}")
     vals = sparse_values(ring, rng, e_size, unimodular=unimodular)
     # no drawn amplitude is zero, so the nonzero cells are the sorted support
     support = tuple((int(i) // n, int(i) % n) for i in np.flatnonzero(vals))
     return erase(Signal2D(ring, vals), unobserved, support_hint=support)
+
+
+def recovery_thresholds(ring: RingContext, s_size: int) -> tuple[float, float]:
+    """(ds_threshold, improved_threshold) for |S| = s_size: N^2 / (2 |S|) and N^2 / (4 * 2^omega)."""
+    return ring.modulus**2 / (2 * s_size), ring.modulus**2 / (4 * energy_constant(ring))
 
 
 def threshold_sweep(
@@ -331,16 +338,12 @@ def threshold_sweep(
         raise ValueError("trials must be >= 0")
     if trials == 0:
         return []
-    n = ring.modulus
     mask = _as_mask(ring, None)
     s_size = int(mask.sum())
-    ds = n * n / (2.0 * s_size) if s_size else np.inf
-    improved = n * n / (4.0 * 2**ring.omega)
+    ds, improved = recovery_thresholds(ring, s_size)
     rows: list[SweepRow] = []
     for e_size in support_sizes:
         e_size = int(e_size)
-        if not (1 <= e_size <= n * n):
-            raise ValueError(f"support size must be in [1, {n * n}], got {e_size}")
         exact_count = non_unique = iterations = 0
         for trial in range(trials):
             rng = spawn_rng(seed, e_size, trial)
@@ -351,7 +354,7 @@ def threshold_sweep(
             iterations += result.iterations
         rows.append(
             SweepRow(
-                n=n,
+                n=ring.modulus,
                 s_size=s_size,
                 e_size=e_size,
                 trials=trials,

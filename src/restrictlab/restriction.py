@@ -1,6 +1,7 @@
 """Numerical verification of restriction inequalities on the parabola.
 
-The central estimate, certified for squarefree N with constant 2^(omega(N)/4):
+The central estimate, certified for squarefree N with constant 2^(omega(N)/4)
+(certified_constant, from parabola.energy_constant):
 
     ((1/N) sum_t |fhat(t, t^2)|^2)^(1/2)
         <= 2^(omega/4) * (1/N) * (sum_x |f(x)|^(4/3))^(3/4)
@@ -27,6 +28,7 @@ from .parabola import (
     _pair_sum_energy,
     build_parabola,
     coefficient_vector,
+    energy_constant,
     energy_exact,
     extend_from,
     restrict_to,
@@ -72,7 +74,13 @@ def certified_constant(ring: RingContext) -> float:
     """The squarefree constant 2^(omega(N)/4); the certified checks' one gate, ValueError otherwise."""
     if not ring.squarefree:
         raise ValueError(f"modulus {ring.modulus} is not squarefree")
-    return float(2.0 ** (ring.omega / 4.0))
+    return energy_constant(ring) ** 0.25
+
+
+def zone_edge(ring: RingContext) -> int:
+    """The largest support size inside the forbidden zone |T| < N^2 / 2^omega; squarefree N only."""
+    certified_constant(ring)  # the squarefree gate
+    return (ring.modulus**2 - 1) // energy_constant(ring)
 
 
 def _check_exponents(**exponents: float) -> None:
@@ -234,8 +242,9 @@ class UniversalCertificate:
     omega: int
     lambda_size: float  # |Sigma| / N^(d/2)
     lambda_energy: int  # max additive representation count over Sigma
-    implied_constant: float  # lambda_size^(-1/2) * lambda_energy^(1/4)
+    implied_constant: float  # lambda_energy^(1/4), since lambda_size is 1
     certified_constant: float  # 2^(omega/4)
+    satisfied: bool  # implied_constant <= certified_constant + SATISFACTION_TOL
 
 
 def universal_certificate(sigma: ParabolaSet) -> UniversalCertificate:
@@ -246,17 +255,16 @@ def universal_certificate(sigma: ParabolaSet) -> UniversalCertificate:
     """
     ring = sigma.ring
     constant = certified_constant(ring)  # the squarefree gate, before the energy count
-    n = ring.modulus
-    report = energy_exact(sigma)
-    lam_size = len(sigma) / float(n)  # N^(d/2) = N when d = 2
-    lam_energy = report.max_rep
+    max_rep = energy_exact(sigma).max_rep
+    implied = max_rep**0.25
     return UniversalCertificate(
-        n=n,
+        n=ring.modulus,
         omega=ring.omega,
-        lambda_size=lam_size,
-        lambda_energy=lam_energy,
-        implied_constant=float(lam_size**-0.5 * lam_energy**0.25),
+        lambda_size=len(sigma) / float(ring.modulus),  # N^(d/2) = N when d = 2
+        lambda_energy=max_rep,
+        implied_constant=implied,
         certified_constant=constant,
+        satisfied=implied <= constant + SATISFACTION_TOL,
     )
 
 
@@ -685,8 +693,8 @@ def uncertainty_search(
     below N (a smallest singular value at most RANK_RTOL counts as zero).
     Rank deficiency is monotone in T, so scanning supports of size exactly
     max_support covers every smaller support as well.  All sizes inside the
-    forbidden zone max_support < N^2 / 2^omega must come back empty; the zone
-    boundary itself is rejected because the search would be vacuous.
+    forbidden zone max_support < N^2 / 2^omega must come back empty; a size
+    above zone_edge(ring) is rejected: the paper's bound does not cover it.
 
     The exhaustive path (when C(N^2, max_support) <= _EXHAUSTIVE_CAP) scans
     only the supports that contain cell (0, 0).  Translating T by a multiplies
@@ -700,15 +708,11 @@ def uncertainty_search(
     where a chunk's arrays would pass _CHUNK_BYTES (_chunk_size).
     """
     ring = sigma.ring
-    if not ring.squarefree:
-        raise ValueError(f"modulus {ring.modulus} is not squarefree")
+    edge = zone_edge(ring)
     n = ring.modulus
     universe = n * n
-    zone = universe / (2**ring.omega)
-    if not (1 <= max_support < zone):
-        raise ValueError(
-            f"max_support must be in [1, {zone}) = [1, N^2/2^omega) for N={n}, got {max_support}"
-        )
+    if not (1 <= max_support <= edge):
+        raise ValueError(f"max_support must be in [1, {edge}], below N^2/2^omega, for N={n}, got {max_support}")
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
     ext = extension_matrix(sigma)

@@ -100,6 +100,36 @@ def test_sweep_csv(tmp_path):
     assert all(row[6] == "7.5" for row in rows)
 
 
+@pytest.mark.parametrize(("n", "ds", "improved"), [(15, "7.5", "14.0625"), (30, "15", "28.125")])
+def test_recover_and_sweep_report_the_same_lines(n, ds, improved, tmp_path):
+    lines = ["ds_threshold", "improved_threshold"]
+    for argv in (["recover", "--sizes", "3"], ["sweep", "--sizes", "3", "--trials", "1"]):
+        out = tmp_path / f"{argv[0]}.csv"
+        assert main(argv + ["--n", str(n), "--output", str(out)]) == 0
+        header, rows = rows_of(out)
+        assert [rows[0][header.index(column)] for column in lines] == [ds, improved]
+
+
+def test_support_size_outside_one_to_n_squared_is_a_usage_error(capsys):
+    # both commands check the size before the sampler or the solver sees it
+    for argv in (["recover", "--sizes", "0"], ["recover", "--sizes", "226"], ["sweep", "--sizes", "0", "--trials", "1"]):
+        assert main(argv + ["--n", "15"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: support size must be in [1, 225], got {argv[2]}\n"
+
+
+def test_sweep_with_no_size_left_is_a_usage_error(tmp_path, capsys):
+    assert main(["sweep", "--n", "3", "--sizes", "10", "--trials", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no support sizes left after dropping those above N^2\n"
+    # a size that fits one of several moduli is still dropped only where it does not fit
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--n", "3", "15", "--sizes", "10", "--trials", "1", "--output", str(out)]) == 0
+    assert [row[:3] for row in rows_of(out)[1]] == [["15", "15", "10"]]
+
+
 def test_gated_commands_reject_square_factor(tmp_path):
     for command in ["restrict-verify", "dual-verify", "certificate", "uncertainty"]:
         assert main([command, "--n", "12", "--output", str(tmp_path / "x.csv")]) == 2

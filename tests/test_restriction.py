@@ -9,7 +9,8 @@ import pytest
 
 from restrictlab.families import structured_coefficients, structured_values
 from restrictlab.fourier import Signal2D, _dft_matrix, _idft_matrix, dft, dft_array, idft_array
-from restrictlab.parabola import build_parabola, embed_coefficients, energy_exact, extend_from
+from restrictlab.parabola import build_parabola, embed_coefficients, energy_constant, energy_exact, extend_from
+from restrictlab.recovery import recovery_thresholds
 from restrictlab.restriction import (
     RANK_RTOL,
     RestrictionParams,
@@ -28,6 +29,7 @@ from restrictlab.restriction import (
     verify_l1_l2,
     verify_main_theorem,
     verify_restriction,
+    zone_edge,
 )
 from restrictlab import restriction
 from restrictlab.restriction import (
@@ -158,6 +160,21 @@ def test_universal_certificate_is_tight(n):
     assert cert.lambda_energy == 2**ring.omega
     assert math.isclose(cert.implied_constant, cert.certified_constant, rel_tol=1e-12)
     assert cert.implied_constant <= cert.certified_constant + 1e-9
+    assert cert.implied_constant == cert.lambda_energy**0.25
+    assert cert.satisfied
+
+
+def test_quantities_derived_from_the_paper_constant():
+    # Each quantity against its formula, with 2^omega counted from the factorization.
+    for n in range(2, 301):
+        ring = make_ring(n)
+        omega = len(ring.prime_factors)
+        assert energy_constant(ring) == 2**omega
+        assert energy_exact(build_parabola(ring)).bound == 2**omega * n * n
+        assert recovery_thresholds(ring, n) == (n * n / (2.0 * n), n * n / (4.0 * 2**omega))
+        if all(e == 1 for _, e in ring.prime_factors):
+            assert certified_constant(ring) == 2.0 ** (omega / 4.0)
+            assert zone_edge(ring) == math.ceil(n * n / 2**omega) - 1
 
 
 def test_universal_certificate_gate():
@@ -173,8 +190,18 @@ def test_universal_certificate_gate():
         lambda sigma: verify_dual(np.ones(12), sigma),
         lambda sigma: verify_l1_l2(np.ones(12), sigma),
         universal_certificate,
+        lambda sigma: zone_edge(sigma.ring),
+        lambda sigma: uncertainty_search(sigma, 3),
     ],
-    ids=["certified_constant", "verify_main_theorem", "verify_dual", "verify_l1_l2", "universal_certificate"],
+    ids=[
+        "certified_constant",
+        "verify_main_theorem",
+        "verify_dual",
+        "verify_l1_l2",
+        "universal_certificate",
+        "zone_edge",
+        "uncertainty_search",
+    ],
 )
 def test_certified_checks_share_one_squarefree_gate(check):
     with pytest.raises(ValueError, match="modulus 12 is not squarefree"):
