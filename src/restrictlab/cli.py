@@ -21,10 +21,9 @@ import numpy as np
 
 from . import __version__
 from .families import structured_coefficients, structured_values
-from .fourier import Signal2D, _dft_matrix, _idft_matrix, grid_to_json_dict, signal_from_json_dict
+from .fourier import Signal2D, grid_to_json_dict, signal_from_json_dict
 from .parabola import (
     ParabolaSet,
-    _pair_classes,
     build_parabola,
     decay_bytes,
     decay_profile,
@@ -112,7 +111,7 @@ def _resolve_moduli(args: argparse.Namespace) -> list[RingContext]:
         if n < 2:
             raise UsageError(f"modulus must be >= 2, got {n}")
         rings.append(make_ring(n))
-    if args.squarefree_only and args.command != "sharpness":
+    if args.squarefree_only:
         rings = [ring for ring in rings if ring.squarefree]
         if not rings:
             raise UsageError("no squarefree moduli left after filtering")
@@ -195,20 +194,6 @@ def _check_memory(args: argparse.Namespace, rings: list[RingContext], estimate) 
             )
 
 
-def _one_modulus_at_a_time(rings: list[RingContext]):
-    """Each ring in turn, with the per-modulus table caches dropped before it.
-
-    W and conj(W) stay cached at 32 N^2 bytes a modulus, the pair-class
-    tables at about 8 N^2.  Dropping them keeps one modulus's tables at a
-    time, the case that _check_memory's per-modulus estimates count.
-    """
-    for ring in rings:
-        _dft_matrix.cache_clear()
-        _idft_matrix.cache_clear()
-        _pair_classes.cache_clear()
-        yield ring
-
-
 def _cmd_energy(args: argparse.Namespace, rings: list[RingContext]) -> Report:
     _check_memory(args, rings, energy_bytes)
     rows = []
@@ -229,6 +214,7 @@ def _cmd_decay(args: argparse.Namespace, rings: list[RingContext]) -> Report:
             [ring.modulus, ring.omega, ring.squarefree, profile.max_magnitude, profile.max_ratio]
             + list(profile.witness)
         )
+        del profile  # its (N, N) magnitudes would otherwise live through the next modulus
     return DECAY_COLUMNS, rows, False
 
 
@@ -236,7 +222,7 @@ def _verify_reports(args: argparse.Namespace, rings: list[RingContext], family, 
     """One row per labeled member of family(ring, trials, rng), scored by check."""
     rows = []
     violated = False
-    for ring in _one_modulus_at_a_time(rings):
+    for ring in rings:
         sigma = build_parabola(ring)
         for label, member in family(ring, args.trials, spawn_rng(args.seed, ring.modulus)):
             report = check(member, sigma, witness_kind=label)
@@ -289,7 +275,7 @@ def _cmd_uncertainty(args: argparse.Namespace, rings: list[RingContext]) -> Repo
 def _cmd_sharpness(args: argparse.Namespace, rings: list[RingContext]) -> Report:
     _check_memory(args, rings, restriction_bytes)
     rows = []
-    for ring in _one_modulus_at_a_time(rings):
+    for ring in rings:
         probe = sharpness_probe(ring, trials=args.trials, seed=args.seed)
         for r in (4.0 / 3.0, 6.0 / 5.0):
             scored = [rep for rep in probe.reports if rep.r == r]
@@ -345,7 +331,7 @@ def _cmd_sweep(args: argparse.Namespace, rings: list[RingContext]) -> Report:
     params = LoganParams(max_iterations=args.max_iterations)
     rows = []
     violated = False
-    for ring in _one_modulus_at_a_time(rings):
+    for ring in rings:
         usable = [k for k in sizes if k <= ring.modulus ** 2]
         for sweep_row in threshold_sweep(
             ring, usable, args.trials, args.seed, unimodular=args.worst_case, params=params
@@ -456,9 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parsers["sharpness"]
     sub.add_argument("--trials", type=int, default=200, help="random candidates per modulus")
 
-    sub = parsers["recover"]
-    sub.add_argument("--sizes", nargs="+", default=None, metavar="K", help="support size of the random instance")
-    sub.add_argument("--input", default=None, help="JSON signal file to erase and recover")
+    source = parsers["recover"].add_mutually_exclusive_group()
+    source.add_argument("--sizes", nargs="+", default=None, metavar="K", help="support size of the random instance")
+    source.add_argument("--input", default=None, help="JSON signal file to erase and recover")
 
     sub = parsers["sweep"]
     sub.add_argument("--sizes", nargs="+", required=True, metavar="K", help="support sizes: integers and a..b")

@@ -22,7 +22,7 @@ import numpy as np
 from .zmod import RingContext, make_ring
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=1)  # one modulus at a time; a rebuild costs little beside the products that read W
 def _dft_matrix(n: int) -> np.ndarray:
     # W[a, b] = exp(-2 pi i a b / n), built from a length-n root table
     # looked up at (a*b) mod n so algebraically equal products match exactly
@@ -33,7 +33,7 @@ def _dft_matrix(n: int) -> np.ndarray:
     return w
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=1)
 def _idft_matrix(n: int) -> np.ndarray:
     # conj(W), cached so the inverse transform does not rebuild it per call
     wc = _dft_matrix(n).conj()

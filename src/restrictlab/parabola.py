@@ -85,16 +85,12 @@ def exp_sum(sigma: ParabolaSet, m: tuple[int, int]) -> complex:
     return complex(_dft_matrix(n)[1, phases].sum())
 
 
-@lru_cache(maxsize=128)
 def _gauss_magnitudes(q: int) -> np.ndarray:
-    """|S_q(a, b)| on the (q, q) grid: the one product |W @ W[t^2 rows]| mod q."""
-    # Its own product, not _extension_kernel's: that one reads conj(W), which
-    # would fill a second matrix cache, and its scaling of the columns by c
-    # makes this one product about 1.5x slower.
-    w = _dft_matrix(q)
-    mags = np.abs(w @ w[np.arange(q) ** 2 % q])
-    mags.setflags(write=False)
-    return mags
+    """|S_q(a, b)| on the (q, q) grid: the one product |W @ W[t^2 rows]| mod q, built per call."""
+    # Its own product, not _extension_kernel's, whose scaling of the columns by c makes
+    # this one product about 1.5x slower; W from the uncached builder outlives no call.
+    w = _dft_matrix.__wrapped__(q)
+    return np.abs(w @ w[np.arange(q) ** 2 % q])
 
 
 def decay_bytes(ring: RingContext) -> int:
@@ -185,7 +181,7 @@ def _prime_power_energy(q: int) -> tuple[int, int]:
 _PAIR_CHUNK_BYTES = 1 << 20  # bytes of pair products per chunk of rows; small chunks stay in cache
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=1)  # one modulus at a time, like the DFT matrices
 def _pair_classes(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """The unordered pairs t <= t' of the parabola mod N, grouped by the class of p_t + p_t'.
 

@@ -296,6 +296,11 @@ class SweepRow:
     improved_threshold: float  # N^2 / (4 * 2^omega), bounded-factor regime
 
 
+def _check_support_size(n: int, e_size: int) -> None:
+    if not (1 <= e_size <= n * n):
+        raise ValueError(f"support size must be in [1, {n * n}], got {e_size}")
+
+
 def random_instance(
     ring: RingContext,
     e_size: int,
@@ -306,8 +311,7 @@ def random_instance(
 ) -> RecoveryProblem:
     """Planted instance: random support of e_size in [1, N^2], random amplitudes, erased S."""
     n = ring.modulus
-    if not (1 <= e_size <= n * n):
-        raise ValueError(f"support size must be in [1, {n * n}], got {e_size}")
+    _check_support_size(n, e_size)
     vals = sparse_values(ring, rng, e_size, unimodular=unimodular)
     # no drawn amplitude is zero, so the nonzero cells are the sorted support
     support = tuple((int(i) // n, int(i) % n) for i in np.flatnonzero(vals))
@@ -332,18 +336,20 @@ def threshold_sweep(
 
     Each trial draws from its own (seed, size, trial)-keyed stream, so a
     size's row is the same whichever other sizes are swept with it.
-    trials = 0 yields no rows.
+    trials = 0 yields no rows, once every size is checked.
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
+    sizes = [int(e_size) for e_size in support_sizes]
+    for e_size in sizes:
+        _check_support_size(ring.modulus, e_size)
     if trials == 0:
         return []
     mask = _as_mask(ring, None)
     s_size = int(mask.sum())
     ds, improved = recovery_thresholds(ring, s_size)
     rows: list[SweepRow] = []
-    for e_size in support_sizes:
-        e_size = int(e_size)
+    for e_size in sizes:
         exact_count = non_unique = iterations = 0
         for trial in range(trials):
             rng = spawn_rng(seed, e_size, trial)

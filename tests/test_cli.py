@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from restrictlab import cli
+from restrictlab import cli, parabola
 from restrictlab.cli import main
 from restrictlab.fourier import Signal2D, _dft_matrix, _idft_matrix, signal_to_json
 from restrictlab.parabola import _pair_classes
@@ -112,7 +112,12 @@ def test_recover_and_sweep_report_the_same_lines(n, ds, improved, tmp_path):
 
 def test_support_size_outside_one_to_n_squared_is_a_usage_error(capsys):
     # both commands check the size before the sampler or the solver sees it
-    for argv in (["recover", "--sizes", "0"], ["recover", "--sizes", "226"], ["sweep", "--sizes", "0", "--trials", "1"]):
+    for argv in (
+        ["recover", "--sizes", "0"],
+        ["recover", "--sizes", "226"],
+        ["sweep", "--sizes", "0", "--trials", "1"],
+        ["sweep", "--sizes", "0", "--trials", "0"],
+    ):
         assert main(argv + ["--n", "15"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -141,6 +146,14 @@ def test_squarefree_filter_unblocks_grid(tmp_path):
     assert code == 0
     _, rows = rows_of(out)
     assert [row[0] for row in rows] == ["15"]
+
+
+def test_squarefree_filter_means_the_same_for_every_command(tmp_path):
+    for command in ("energy", "decay", "sharpness"):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--n", "9", "10", "--squarefree-only", "--output", str(out)]) == 0
+        assert {row[0] for row in rows_of(out)[1]} == {"10"}, command
+    assert main(["sharpness", "--n", "9", "25", "--squarefree-only", "--output", str(out)]) == 2
 
 
 def test_sharpness_allows_square_factor(tmp_path):
@@ -262,14 +275,34 @@ def test_restriction_bytes_covers_one_modulus(tmp_path, argv):
         ["dual-verify", "--n", "6", "10", "15", "--trials", "2"],
         ["sharpness", "--n", "6", "10", "15", "--trials", "2"],
         ["sweep", "--n", "6", "10", "--sizes", "2", "--trials", "1"],
+        ["energy", "--n", "6", "10", "15"],
+        ["decay", "--n", "6", "10", "15"],
+        ["certificate", "--n", "6", "10", "15"],
+        ["uncertainty", "--n", "6", "10", "15", "--max-support", "2", "--trials", "20"],
     ],
 )
 def test_commands_keep_one_modulus_of_tables(tmp_path, argv):
     # Each modulus passes the memory check alone, so a list of moduli must
-    # not keep the earlier moduli's tables cached.
+    # not keep the earlier moduli's tables cached, whatever was cached before.
+    for n in (2, 3):
+        _dft_matrix(n), _idft_matrix(n), _pair_classes(n)
     assert main(argv + ["--output", str(tmp_path / "x.csv")]) == 0
     for cache in (_dft_matrix, _idft_matrix, _pair_classes):
         assert cache.cache_info().currsize <= 1, cache
+
+
+@pytest.mark.parametrize("moduli", [["300..420"], ["1364", "1365"]])
+def test_decay_peak_within_the_largest_estimate(tmp_path, moduli):
+    # decay keeps no |S_q| table between calls, and no modulus's (N, N)
+    # magnitudes outlive it: held through 1365, those of 1364 (15 MB) would
+    # overrun the estimate.  1 MB covers the CLI's own objects (parser, rows,
+    # report text), which tracemalloc puts at 0.15-0.4 MB.
+    rings = [make_ring(n) for n in cli._parse_int_tokens(moduli, "modulus")]
+    tracemalloc.start()
+    assert main(["decay", "--n", *moduli, "--output", str(tmp_path / "x.csv")]) == 0
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= max(parabola.decay_bytes(ring) for ring in rings) + (1 << 20)
 
 
 def test_uncertainty_csv(tmp_path):
@@ -313,6 +346,16 @@ def test_recover_from_signal_file(tmp_path):
     assert len(data["missing"]) == 7
     grid = np.array([complex(a, b) for a, b in data["values"]]).reshape(7, 7)
     assert np.abs(grid - vals).max() < 1e-6
+
+
+def test_recover_takes_sizes_or_input_not_both(tmp_path, capsys):
+    ring = make_ring(15)
+    sig = tmp_path / "sig.json"
+    sig.write_text(signal_to_json(Signal2D(ring, np.zeros((15, 15)))))
+    for sizes in ("0", "3"):
+        assert main(["recover", "--n", "15", "--sizes", sizes, "--input", str(sig)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not allowed with argument" in captured.err
 
 
 def test_recover_rejects_modulus_mismatch(tmp_path):

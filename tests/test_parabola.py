@@ -177,7 +177,7 @@ def test_resource_estimates_follow_the_prime_powers():
         ring = make_ring(n)
         sigma = build_parabola(ring)
         for kernel, estimate in ((energy_exact, energy_bytes), (decay_profile, decay_bytes)):
-            for cache in (parabola._prime_power_energy, parabola._gauss_magnitudes, _dft_matrix):
+            for cache in (parabola._prime_power_energy, _dft_matrix):
                 cache.cache_clear()
             tracemalloc.start()
             kernel(sigma)

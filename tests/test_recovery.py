@@ -247,8 +247,9 @@ def test_sweep_empty_and_validation():
     assert threshold_sweep(ring, [3], trials=0, seed=1) == []
     with pytest.raises(ValueError):
         threshold_sweep(ring, [3], trials=-1, seed=1)
-    with pytest.raises(ValueError):
-        threshold_sweep(ring, [0], trials=1, seed=1)
+    for trials in (0, 1):  # the sizes are checked even when no trial runs
+        with pytest.raises(ValueError):
+            threshold_sweep(ring, [3, 0], trials=trials, seed=1)
 
 
 def test_recover_bytes_covers_one_solve():
