@@ -81,33 +81,39 @@ SUMMARY_COLUMNS = ("N", "rows", "max_ratio", "satisfied")
 
 MEMORY_BUDGET = 1 << 30  # bytes one modulus of a budgeted command may allocate
 
+MAX_LIST_VALUES = 100_000  # integers one --n or --sizes list may name, ranges expanded
+
 
 class UsageError(Exception):
     """Bad flags, bad values, or a modulus a gated command cannot accept."""
 
 
-def _parse_int_tokens(tokens: Sequence[str], what: str) -> list[int]:
-    """Expand tokens like "15" and "5..40" into a sorted deduplicated list."""
-    out: set[int] = set()
+def _parse_int_tokens(tokens: Sequence[str], flag: str) -> list[int]:
+    """Expand tokens like "15" and "5..40" into a sorted deduplicated list.
+
+    The values the tokens name are counted before any is built, and more
+    than MAX_LIST_VALUES of them is a usage error.
+    """
+    ranges = []
     for token in tokens:
         text = token.strip()
         try:
-            if ".." in text:
-                lo_text, hi_text = text.split("..", 1)
-                lo, hi = int(lo_text), int(hi_text)
-                if hi < lo:
-                    raise ValueError
-                out.update(range(lo, hi + 1))
-            else:
-                out.add(int(text))
+            lo_text, hi_text = text.split("..", 1) if ".." in text else (text, text)
+            lo, hi = int(lo_text), int(hi_text)
+            if hi < lo:
+                raise ValueError
         except ValueError:
-            raise UsageError(f"cannot parse {what} token {token!r} (want an integer or a..b)") from None
-    return sorted(out)
+            raise UsageError(f"cannot parse {flag} token {token!r} (want an integer or a..b)") from None
+        ranges.append((lo, hi))
+    count = sum(hi - lo + 1 for lo, hi in ranges)
+    if count > MAX_LIST_VALUES:
+        raise UsageError(f"{flag} names {count} values, over the limit of {MAX_LIST_VALUES}")
+    return sorted({value for lo, hi in ranges for value in range(lo, hi + 1)})
 
 
 def _resolve_moduli(args: argparse.Namespace) -> list[RingContext]:
     rings = []
-    for n in _parse_int_tokens(args.moduli, "modulus"):
+    for n in _parse_int_tokens(args.moduli, "--n"):
         if n < 2:
             raise UsageError(f"modulus must be >= 2, got {n}")
         rings.append(make_ring(n))
@@ -116,7 +122,9 @@ def _resolve_moduli(args: argparse.Namespace) -> list[RingContext]:
         if not rings:
             raise UsageError("no squarefree moduli left after filtering")
     square_factor = [ring.modulus for ring in rings if not ring.squarefree]
-    if args.command in GATED_COMMANDS and square_factor:
+    # restrict-verify --r 6/5 has no certified constant, so it takes any modulus
+    gated = args.command in GATED_COMMANDS and getattr(args, "r", "4/3") == "4/3"
+    if gated and square_factor:
         raise UsageError(f"{args.command} requires squarefree moduli, got {square_factor[0]}")
     return rings
 
@@ -277,10 +285,7 @@ def _cmd_sharpness(args: argparse.Namespace, rings: list[RingContext]) -> Report
     rows = []
     for ring in rings:
         probe = sharpness_probe(ring, trials=args.trials, seed=args.seed)
-        for r in (4.0 / 3.0, 6.0 / 5.0):
-            scored = [rep for rep in probe.reports if rep.r == r]
-            best = max(scored, key=lambda rep: rep.ratio)
-            rows.append(_fields(best, VERIFY_COLUMNS))
+        rows += [_fields(best, VERIFY_COLUMNS) for best in probe.best]
     return VERIFY_COLUMNS, rows, False
 
 
@@ -304,7 +309,7 @@ def _cmd_recover(args: argparse.Namespace, rings: list[RingContext]) -> Report:
         problem = erase(truth)
         e_size = None
     else:
-        sizes = _parse_int_tokens(args.sizes, "size") if args.sizes else []
+        sizes = _parse_int_tokens(args.sizes, "--sizes") if args.sizes else []
         if len(sizes) != 1:
             raise UsageError("recover needs --sizes with exactly one support size (or --input)")
         e_size = sizes[0]
@@ -324,7 +329,7 @@ def _cmd_recover(args: argparse.Namespace, rings: list[RingContext]) -> Report:
 
 
 def _cmd_sweep(args: argparse.Namespace, rings: list[RingContext]) -> Report:
-    sizes = _parse_int_tokens(args.sizes, "size")
+    sizes = _parse_int_tokens(args.sizes, "--sizes")
     if min(sizes) > max(ring.modulus for ring in rings) ** 2:
         raise UsageError("no support sizes left after dropping those above N^2")
     _check_memory(args, rings, recover_bytes)

@@ -137,21 +137,5 @@ def square_roots_mod(c: int, ring: RingContext) -> tuple[int, ...]:
 
 
 def count_square_roots(c: int, ring: RingContext) -> int:
-    """Number of square roots of c mod N.
-
-    For squarefree N this is the product over p | N of the per-prime counts
-    (1 for p = 2; 1, 2, or 0 for odd p by the Euler criterion), with no root
-    enumerated.  Non-squarefree rings fall back to counting the scan.
-    """
-    if not ring.squarefree:
-        return len(square_roots_mod(c, ring))
-    total = 1
-    for p, _ in ring.prime_factors:
-        cp = c % p
-        if p == 2 or cp == 0:
-            continue  # exactly one root
-        if pow(cp, (p - 1) // 2, p) == 1:
-            total *= 2
-        else:
-            return 0
-    return total
+    """Number of square roots of c mod N."""
+    return len(square_roots_mod(c, ring))

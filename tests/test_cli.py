@@ -138,6 +138,18 @@ def test_sweep_with_no_size_left_is_a_usage_error(tmp_path, capsys):
 def test_gated_commands_reject_square_factor(tmp_path):
     for command in ["restrict-verify", "dual-verify", "certificate", "uncertainty"]:
         assert main([command, "--n", "12", "--output", str(tmp_path / "x.csv")]) == 2
+    for trials in ("0", "3"):  # the certified 4/3 check refuses before any signal is scored
+        assert main(["restrict-verify", "--n", "9", "--trials", trials, "--r", "4/3"]) == 2
+
+
+@pytest.mark.parametrize("n", [9, 25])
+def test_restrict_verify_at_six_fifths_takes_a_square_factor(tmp_path, n):
+    # r = 6/5 has no certified constant; Hickman-Wright's estimate covers every N
+    out = tmp_path / "rv.csv"
+    assert main(["restrict-verify", "--n", str(n), "--r", "6/5", "--trials", "3", "--output", str(out)]) == 0
+    header, rows = rows_of(out)
+    assert len(rows) == 3
+    assert all(row[header.index("r")] == "1.2" and row[header.index("constant")] == "" for row in rows)
 
 
 def test_squarefree_filter_unblocks_grid(tmp_path):
@@ -165,6 +177,22 @@ def test_sharpness_allows_square_factor(tmp_path):
     _, rows = rows_of(out)
     ratios = {row[3]: float(row[6]) for row in rows}
     assert abs(ratios[format(4 / 3, ".12g")] - 5**0.25) < 1e-9
+
+
+def test_long_integer_lists_are_refused_before_any_is_built(capsys):
+    # a range is counted from its ends, so a huge one is refused before it is built
+    tracemalloc.start()
+    assert main(["energy", "--n", "2..1000000000000"]) == 2
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 1 << 20
+    assert main(["sweep", "--n", "15", "--sizes", "1..60000", "60001..100001", "--trials", "1"]) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert errors == [
+        f"error: --n names 999999999999 values, over the limit of {cli.MAX_LIST_VALUES}",
+        f"error: --sizes names 100001 values, over the limit of {cli.MAX_LIST_VALUES}",
+    ]
+    assert len(cli._parse_int_tokens(["1..60000", "60001..100000"], "--sizes")) == cli.MAX_LIST_VALUES
 
 
 def test_usage_errors():
@@ -297,7 +325,7 @@ def test_decay_peak_within_the_largest_estimate(tmp_path, moduli):
     # magnitudes outlive it: held through 1365, those of 1364 (15 MB) would
     # overrun the estimate.  1 MB covers the CLI's own objects (parser, rows,
     # report text), which tracemalloc puts at 0.15-0.4 MB.
-    rings = [make_ring(n) for n in cli._parse_int_tokens(moduli, "modulus")]
+    rings = [make_ring(n) for n in cli._parse_int_tokens(moduli, "--n")]
     tracemalloc.start()
     assert main(["decay", "--n", *moduli, "--output", str(tmp_path / "x.csv")]) == 0
     peak = tracemalloc.get_traced_memory()[1]

@@ -20,7 +20,7 @@ from workloads import EXPECTED_EXIT, battery_argv, run_cli  # noqa: E402
 
 GOLDEN = PERFBENCH / "golden"
 BATTERY = battery_argv(GOLDEN)
-EXACT = ("01-energy.", "02-certificate.")  # integer-derived reports: byte for byte
+EXACT = ("01-energy.", "02-certificate.", "06-sharpness.")  # reports that match byte for byte
 
 
 @pytest.mark.parametrize("name,argv", BATTERY, ids=[name for name, _ in BATTERY])

@@ -880,26 +880,61 @@ def test_probe_prime_square_growth():
 def test_probe_rejects_a_negative_trial_count():
     with pytest.raises(ValueError, match="trials"):
         sharpness_probe(make_ring(9), trials=-5)
-    assert len(sharpness_probe(make_ring(9), trials=0).reports) == 32  # the stride boxes alone
+    probe = sharpness_probe(make_ring(9), trials=0)  # the 4 stride boxes alone
+    assert all(report.witness_kind.startswith("stride_box(") for report in probe.best)
+    assert [report.r for report in probe.best] == [4.0 / 3.0, 6.0 / 5.0]
+    assert all(report.constant is None for report in probe.best)
 
 
 def test_probe_reports_both_exponents():
     probe = sharpness_probe(make_ring(9), trials=5, seed=1)
-    exponents = {report.r for report in probe.reports}
-    assert exponents == {4.0 / 3.0, 6.0 / 5.0}
-    assert all(report.constant is None for report in probe.reports)
+    assert [report.r for report in probe.best] == [4.0 / 3.0, 6.0 / 5.0]
+    assert all(report.constant is None for report in probe.best)
+    assert (probe.best_ratio, probe.best_witness) == (probe.best[0].ratio, probe.best[0].witness_kind)
+
+
+@pytest.mark.parametrize("n", [9, 12, 18, 25])
+def test_stride_box_translates_score_like_the_box_at_the_origin(n):
+    # A translate multiplies the transform by a unimodular character and
+    # permutes |f|, so the probe scores only the box at (0, 0).
+    ring = make_ring(n)
+    sigma = build_parabola(ring)
+    divisors = [d for d in range(1, n + 1) if n % (d * d) == 0]
+    for d1, d2 in itertools.product(divisors, repeat=2):
+        translates = [stride_box_values(ring, d1, d2, a, b) for a, b in itertools.product(range(d1), range(d2))]
+        for r in (4.0 / 3.0, 6.0 / 5.0):
+            lhs0, rhs0 = restriction_quantities(ring, translates[0], sigma, 2.0, r)
+            lhs, rhs = restriction_quantities(ring, np.stack(translates), sigma, 2.0, r)
+            np.testing.assert_allclose(lhs, lhs0, rtol=1e-12, err_msg=f"d1={d1} d2={d2} r={r}")
+            np.testing.assert_allclose(rhs, rhs0, rtol=1e-12, err_msg=f"d1={d1} d2={d2} r={r}")
+
+
+def _probe_peak(ring, trials):
+    tracemalloc.start()
+    sharpness_probe(ring, trials=trials, seed=0)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return peak
+
+
+def test_probe_memory_does_not_grow_with_trials():
+    # only the best report at each exponent is kept, not one per candidate
+    ring = make_ring(9)
+    sharpness_probe(ring, trials=2)
+    assert _probe_peak(ring, 2000) <= _probe_peak(ring, 20) + 3 * 16 * 9 * 9
 
 
 def test_probe_scores_each_candidate_as_it_is_built():
-    # 64 stride boxes and 200 draws at N = 49; all 264 grids together take
-    # 264 * 16 N^2 bytes, the streamed probe a few grids and its reports
+    # 4 stride boxes and 200 draws at N = 49; all 204 grids together take
+    # 204 * 16 N^2 bytes, the streamed probe a few grids
     ring = make_ring(49)
     sharpness_probe(ring, trials=2)
     tracemalloc.start()
     probe = sharpness_probe(ring, trials=200, seed=0)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert len(probe.reports) == 2 * 264
+    assert [report.r for report in probe.best] == [4.0 / 3.0, 6.0 / 5.0]
+    assert all(report.constant is None for report in probe.best)
     assert peak < 20 * 16 * 49 * 49
 
 
