@@ -83,6 +83,8 @@ MEMORY_BUDGET = 1 << 30  # bytes one modulus of a budgeted command may allocate
 
 MAX_LIST_VALUES = 100_000  # integers one --n or --sizes list may name, ranges expanded
 
+MAX_MODULUS = 10**12  # largest --n value; make_ring's trial division takes about 0.08 s on a prime this size
+
 
 class UsageError(Exception):
     """Bad flags, bad values, or a modulus a gated command cannot accept."""
@@ -114,8 +116,8 @@ def _parse_int_tokens(tokens: Sequence[str], flag: str) -> list[int]:
 def _resolve_moduli(args: argparse.Namespace) -> list[RingContext]:
     rings = []
     for n in _parse_int_tokens(args.moduli, "--n"):
-        if n < 2:
-            raise UsageError(f"modulus must be >= 2, got {n}")
+        if not 2 <= n <= MAX_MODULUS:  # before make_ring factors it
+            raise UsageError(f"modulus must be in [2, {MAX_MODULUS}], got {n}")
         rings.append(make_ring(n))
     if args.squarefree_only:
         rings = [ring for ring in rings if ring.squarefree]
@@ -348,36 +350,42 @@ def _cmd_sweep(args: argparse.Namespace, rings: list[RingContext]) -> Report:
 
 
 def _cmd_summarize(args: argparse.Namespace, rings: list[RingContext]) -> Report:
-    """Aggregate verify-style CSVs: one row per modulus with the worst ratio."""
+    """Aggregate verify-style CSVs: one row per modulus with the worst ratio.
+
+    Files are streamed into one running (rows, max ratio, all satisfied)
+    entry per modulus, for at most MAX_LIST_VALUES moduli.
+    """
     header: list[str] | None = None
-    by_n: dict[int, list[tuple[float, bool]]] = {}
+    by_n: dict[int, tuple[int, float, bool]] = {}
     for path in args.reports:
         try:
             with open(path, "r", encoding="utf-8", newline="") as fh:
-                table = list(csv.reader(line for line in fh if not line.startswith("#")))
+                table = csv.reader(line for line in fh if not line.startswith("#"))
+                first = next(table, None)
+                if first is None:
+                    raise UsageError(f"{path} has no header row")
+                for needed in ("N", "ratio", "satisfied"):
+                    if needed not in first:
+                        raise UsageError(f"{path} lacks required column {needed!r}")
+                if header is not None and first != header:
+                    raise UsageError(f"{path} header does not match the first report file")
+                header = first
+                for cells in table:
+                    if len(cells) != len(header):
+                        raise UsageError(f"{path} has a data row of {len(cells)} cells, header has {len(header)}")
+                    row = dict(zip(header, cells))
+                    try:
+                        n, ratio = int(row["N"]), float(row["ratio"])
+                    except ValueError:
+                        raise UsageError(f"{path} has a malformed data row (bad N or ratio)") from None
+                    if n not in by_n and len(by_n) == MAX_LIST_VALUES:
+                        raise UsageError(f"reports name more than {MAX_LIST_VALUES} moduli")
+                    count, best, ok = by_n.get(n, (0, ratio, True))
+                    # strict >, as the builtin max does, for ties and NaN
+                    by_n[n] = (count + 1, ratio if ratio > best else best, ok and row["satisfied"] == "true")
         except OSError as exc:
             raise UsageError(f"cannot read {path}: {exc}") from None
-        if not table:
-            raise UsageError(f"{path} has no header row")
-        for needed in ("N", "ratio", "satisfied"):
-            if needed not in table[0]:
-                raise UsageError(f"{path} lacks required column {needed!r}")
-        if header is not None and table[0] != header:
-            raise UsageError(f"{path} header does not match the first report file")
-        header = table[0]
-        for cells in table[1:]:
-            if len(cells) != len(header):
-                raise UsageError(f"{path} has a data row of {len(cells)} cells, header has {len(header)}")
-            row = dict(zip(header, cells))
-            try:
-                n, ratio = int(row["N"]), float(row["ratio"])
-            except ValueError:
-                raise UsageError(f"{path} has a malformed data row (bad N or ratio)") from None
-            by_n.setdefault(n, []).append((ratio, row["satisfied"] == "true"))
-    rows = []
-    for n, group in sorted(by_n.items()):
-        ok = all(satisfied for _, satisfied in group)
-        rows.append([n, len(group), max(ratio for ratio, _ in group), ok])
+    rows = [[n, *entry] for n, entry in sorted(by_n.items())]
     return SUMMARY_COLUMNS, rows, not all(ok for *_, ok in rows)
 
 

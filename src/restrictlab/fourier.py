@@ -140,12 +140,11 @@ def grid_to_json_dict(f: Signal2D | Spectrum2D) -> dict:
 def _grid_from_json_dict(data: dict) -> tuple[RingContext, np.ndarray]:
     if not isinstance(data, dict) or "n" not in data or "values" not in data:
         raise ValueError("expected an object with 'n' and 'values'")
-    ring = make_ring(int(data["n"]))
-    n = ring.modulus
+    n = int(data["n"])
     pairs = np.array(data["values"], dtype=float)
-    if pairs.shape != (n * n, 2):
+    if pairs.shape != (n * n, 2):  # checked first: the count bounds n before make_ring factors it
         raise ValueError(f"expected {n * n} [re, im] pairs for n={n}, got shape {pairs.shape}")
-    return ring, pairs.view(np.complex128).reshape(n, n)
+    return make_ring(n), pairs.view(np.complex128).reshape(n, n)
 
 
 def signal_from_json_dict(data: dict) -> Signal2D:

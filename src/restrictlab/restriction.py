@@ -112,32 +112,19 @@ def _parabola_over(ring: RingContext, sigma: ParabolaSet | None) -> ParabolaSet:
     return sigma
 
 
+def _roots(sums: list[float], e: float) -> np.ndarray:
+    # each sum ** (1/e), value by value with C pow: numpy's vectorized power can
+    # round differently, and a grid must get the same bits alone as in a batch
+    return np.fromiter(map(pow, sums, itertools.repeat(1.0 / e)), float, len(sums))
+
+
 def _signal_norm(values: np.ndarray, r: float, n: int) -> np.ndarray:
     # N^(-d/2) times the counting L^r norm over the last two axes
-    return (np.abs(values) ** r).sum(axis=(-2, -1)) ** (1.0 / r) / n
+    sums = (np.abs(values) ** r).sum(axis=(-2, -1))
+    return _roots(sums.reshape(-1).tolist(), r).reshape(sums.shape) / n
 
 
 _GRID_CHUNK_BYTES = 1 << 20  # complex grids per restriction_quantities chunk: a call peaks near 2 MB
-
-
-def _grid_quantities(
-    n: int, values: np.ndarray, sigma: ParabolaSet, s: float, r: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """(lhs, rhs) of one (N, N) grid, or of each grid of a (B, N, N) chunk.
-
-    A chunk sums |F|^s over the parabola left to right (np.add.accumulate),
-    the order numpy's mean takes on the gathered batch whenever B >= 2; for
-    B = 1 the mean sums pairwise, so a last chunk of one grid would get
-    other bits than the same grid inside a larger batch.
-    """
-    spectra = dft_array(n, values)
-    powers = np.abs(spectra[..., sigma.rows, sigma.cols]) ** s
-    del spectra  # freed before _signal_norm builds |v| and |v|^r
-    if values.ndim == 2:
-        power_mean = powers.mean(axis=-1)
-    else:
-        power_mean = np.add.accumulate(powers, axis=-1)[:, -1] / n
-    return power_mean ** (1.0 / s), _signal_norm(values, r, n)
 
 
 def restriction_quantities(
@@ -153,14 +140,13 @@ def restriction_quantities(
     N^(-d/2) times the counting L^r norm of the signal, constant excluded.
     Both exponents must be at least 1.
 
-    A batch is flattened to (B, N, N) and runs through _grid_quantities in
-    consecutive chunks of whole grids, about _GRID_CHUNK_BYTES of complex
+    The grids are flattened to (B, N, N), a lone grid to (1, N, N), and run
+    in consecutive chunks of whole grids, about _GRID_CHUNK_BYTES of complex
     grids each and at least one grid, so the transform's temporaries stay a
     few chunks in size whatever B is.  Each grid's transform is its own
-    matrix product and each reduction runs in a fixed order along one grid,
-    so a batch gets the same bits at any chunk size.  A single (N, N) grid
-    is its own chunk and keeps numpy's reductions over a lone grid; its lhs
-    and rhs can differ in the last bits from the same grid's inside a batch.
+    matrix product, each sum runs pairwise along one grid's contiguous
+    values, and the roots are taken value by value, so a grid gets the same
+    bits alone, in any batch and at any chunk size.
     """
     _check_exponents(s=s, r=r)
     n = ring.modulus
@@ -168,15 +154,18 @@ def restriction_quantities(
     values = np.asarray(values)
     if values.shape[-2:] != (n, n):
         raise ValueError(f"expected trailing axes ({n}, {n}), got shape {values.shape}")
-    if values.ndim == 2:
-        lhs, rhs = _grid_quantities(n, values, sigma, s, r)
-        return np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
     grids = values.reshape(-1, n, n)
-    lhs, rhs = np.empty(len(grids)), np.empty(len(grids))
+    means: list[float] = []
+    sums: list[float] = []
     step = max(1, _GRID_CHUNK_BYTES // (16 * n * n))
     for i in range(0, len(grids), step):
-        lhs[i : i + step], rhs[i : i + step] = _grid_quantities(n, grids[i : i + step], sigma, s, r)
-    return lhs.reshape(values.shape[:-2]), rhs.reshape(values.shape[:-2])
+        chunk = grids[i : i + step]
+        # a C-contiguous (B, N) copy, so that each row sums pairwise, as a lone grid's mean does
+        on_parab = np.ascontiguousarray(dft_array(n, chunk)[:, sigma.rows, sigma.cols])
+        means += ((np.abs(on_parab) ** s).sum(axis=-1) / n).tolist()
+        sums += (np.abs(chunk) ** r).sum(axis=(-2, -1)).tolist()
+    shape = values.shape[:-2]
+    return _roots(means, s).reshape(shape), (_roots(sums, r) / n).reshape(shape)
 
 
 def restriction_bytes(ring: RingContext) -> int:
@@ -440,42 +429,36 @@ def _gram_products(ext: np.ndarray) -> np.ndarray:
     return (ext.conj()[:, :, None] * ext[:, None, :]).view(np.float64).reshape(n2, 2 * n * n)
 
 
-def _gram_by_gemm(n: int, batch: int, k: int) -> bool:
-    """Whether the one-GEMM Gram build uses no more memory than the row gather.
-
-    The GEMM needs P (16 N^4 bytes) and a float64 indicator of each support
-    (8 B N^2 bytes); the gather it replaces is a (B, k, N) complex row stack
-    (16 B k N bytes).  B is the largest chunk of supports.
-    """
-    return 2 * n**4 + batch * n * n <= 2 * batch * k * n
-
-
 _CHUNK_BYTES = 16 << 20  # per-chunk budget for the draw, the Grams and what builds them
 
 
-def _chunk_size(n: int, k: int, batch: int) -> int:
-    """Supports per chunk: batch, capped so a chunk's arrays fit in _CHUNK_BYTES.
+def _scan_plan(n: int, k: int, batch: int) -> tuple[int, bool]:
+    """(supports per chunk, whether one GEMM builds the Grams) for a scan of batch supports of size k.
 
     A support costs, in bytes: its row of float64 uniforms (8 N^2) and the
     partition copy that finds their k-th smallest (8 N^2), its boolean mask
-    (N^2), its (N, N) complex Gram (16 N^2), and what builds the Gram: the
-    float64 indicator (8 N^2) when _gram_by_gemm picks the GEMM at the capped
-    size, else the (k, N) complex row stack (16 k N).  _gram_by_gemm only
-    turns true as the chunk grows, so a chunk capped for the gather is never
-    one the GEMM would build.  The exhaustive path draws no uniforms, so its
-    chunks are counted high.  _CHUNK_BYTES comes from a measured sweep of 8
-    to 64 MB, made while every chunk solved its own probe Grams; larger
-    chunks stream more fresh memory.  The verdict does not depend on the
-    chunk size: the generator's draws split sequentially and the maximum
-    lambda_max over chunks is exact.  min_margin can move in its last bits, because BLAS may round a
-    row of the one-GEMM build differently at another chunk size, and the cap
-    can switch the build.
+    (N^2), its (N, N) complex Gram (16 N^2), and what builds the Gram.  The
+    one-GEMM build needs P = _gram_products(E) (16 N^4 bytes) and a float64
+    indicator of each support (8 N^2); the gather it replaces, a (k, N)
+    complex row stack per support (16 k N).  The chunk is batch, capped so
+    its arrays fit in _CHUNK_BYTES at the GEMM's per-support cost; the GEMM
+    is picked when it then uses no more memory than the gather would.  Else
+    the chunk is capped at the gather's cost.  The GEMM only wins as the
+    chunk grows, so a chunk capped for the gather is never one the GEMM
+    would build.  The exhaustive path draws no uniforms, so its chunks are
+    counted high.  _CHUNK_BYTES comes from a measured sweep of 8 to 64 MB,
+    made while every chunk solved its own probe Grams; larger chunks stream
+    more fresh memory.  The verdict does not depend on the chunk size: the
+    generator's draws split sequentially and the maximum lambda_max over
+    chunks is exact.  min_margin can move in its last bits, because BLAS may
+    round a row of the one-GEMM build differently at another chunk size, and
+    the cap can switch the build.
     """
     common = 33 * n * n  # uniforms, partition copy, mask and Gram
-    gemm = max(1, min(batch, _CHUNK_BYTES // (common + 8 * n * n)))
-    if _gram_by_gemm(n, gemm, k):
-        return gemm
-    return max(1, min(batch, _CHUNK_BYTES // (common + 16 * k * n)))
+    chunk = max(1, min(batch, _CHUNK_BYTES // (common + 8 * n * n)))
+    if 2 * n**4 + chunk * n * n <= 2 * chunk * k * n:
+        return chunk, True
+    return max(1, min(batch, _CHUNK_BYTES // (common + 16 * k * n))), False
 
 
 def _grams(ext: np.ndarray, masks: np.ndarray, products: np.ndarray | None) -> np.ndarray:
@@ -665,9 +648,9 @@ def uncertainty_bytes(ring: RingContext, max_support: int) -> int:
 
     Building the N^2 x N extension matrix E peaks at 40 N^3 bytes: the
     int64 phases (8 N^3), the gathered roots and E (16 N^3 each).  When
-    _gram_by_gemm picks the GEMM, P = _gram_products(E) adds 16 N^4 and the
+    _scan_plan picks the GEMM, P = _gram_products(E) adds 16 N^4 and the
     conj(E) that builds it 16 N^3.  A chunk's arrays take _CHUNK_BYTES, or
-    one support's 41 N^2 + 16 k N when that is more (_chunk_size).  The
+    one support's 41 N^2 + 16 k N when that is more (_scan_plan).  The
     estimate adds these peaks.  The chunk is sized at _SEARCH_BATCH supports,
     never fewer than the search uses, so the GEMM is counted whenever the
     search could pick it.  k is max_support clamped to [1, N^2], so a size
@@ -675,7 +658,7 @@ def uncertainty_bytes(ring: RingContext, max_support: int) -> int:
     """
     n = ring.modulus
     k = min(max(1, max_support), n * n)
-    products = 16 * n**4 + 16 * n**3 if _gram_by_gemm(n, _chunk_size(n, k, _SEARCH_BATCH), k) else 0
+    products = 16 * n**4 + 16 * n**3 if _scan_plan(n, k, _SEARCH_BATCH)[1] else 0
     return 40 * n**3 + products + max(_CHUNK_BYTES, 41 * n * n + 16 * k * n)
 
 
@@ -705,7 +688,7 @@ def uncertainty_search(
     representatives scanned so far.  The randomized path draws samples
     supports and rejects samples < 1: zero draws would decide nothing.
     Supports go in chunks of at most batch (batch < 1 is rejected), fewer
-    where a chunk's arrays would pass _CHUNK_BYTES (_chunk_size).
+    where a chunk's arrays would pass _CHUNK_BYTES (_scan_plan).
     """
     ring = sigma.ring
     edge = zone_edge(ring)
@@ -722,8 +705,8 @@ def uncertainty_search(
     if not exhaustive and samples < 1:
         raise ValueError(f"the randomized search needs samples >= 1, got {samples}")
     scanned = math.comb(universe - 1, max_support - 1) if exhaustive else samples
-    chunk = _chunk_size(n, max_support, min(batch, scanned))
-    products = _gram_products(ext) if _gram_by_gemm(n, chunk, max_support) else None
+    chunk, gemm = _scan_plan(n, max_support, min(batch, scanned))
+    products = _gram_products(ext) if gemm else None
     if exhaustive:
         draw, source = _exhaustive_supports, itertools.combinations(range(1, universe), max_support - 1)
     else:

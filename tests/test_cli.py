@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from restrictlab import cli, parabola
+from restrictlab import cli, fourier, parabola
 from restrictlab.cli import main
 from restrictlab.fourier import Signal2D, _dft_matrix, _idft_matrix, signal_to_json
 from restrictlab.parabola import _pair_classes
@@ -204,6 +204,29 @@ def test_usage_errors():
     assert main(["sweep", "--n", "15", "--sizes", "abc"]) == 2
     assert main(["recover", "--n", "15"]) == 2
     assert main(["recover", "--n", "15", "10", "--sizes", "3"]) == 2
+
+
+def test_huge_moduli_are_refused_before_factoring(tmp_path, capsys, monkeypatch):
+    # 2^61 - 1 is prime: trial division would spin for minutes, so no
+    # make_ring call may see it, from --n or from a signal file
+    def refuse(n):
+        assert n <= cli.MAX_MODULUS, f"make_ring({n}) called"
+        return make_ring(n)
+
+    monkeypatch.setattr(cli, "make_ring", refuse)
+    monkeypatch.setattr(fourier, "make_ring", refuse)
+    huge = 2**61 - 1
+    sig = tmp_path / "sig.json"
+    sig.write_text(json.dumps({"n": huge, "values": [[0.0, 0.0]] * 4}))
+    assert main(["energy", "--n", "6", str(huge)]) == 2
+    assert main(["recover", "--n", "15", "--input", str(sig)]) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert errors[0] == f"error: modulus must be in [2, {cli.MAX_MODULUS}], got {huge}"
+    assert errors[1].startswith(f"error: bad signal file {sig}: expected {huge * huge} [re, im] pairs")
+    monkeypatch.undo()
+    args = cli.build_parser().parse_args(["energy", "--n", str(cli.MAX_MODULUS)])
+    assert [ring.modulus for ring in cli._resolve_moduli(args)] == [cli.MAX_MODULUS]
+    assert main(["energy", "--n", str(cli.MAX_MODULUS + 1)]) == 2
 
 
 def test_memory_budget_is_a_usage_error(tmp_path, capsys, monkeypatch):
@@ -434,6 +457,25 @@ def test_summarize_aggregates_by_modulus(tmp_path):
     assert header == ["N", "rows", "max_ratio", "satisfied"]
     assert [row[0] for row in rows] == ["6", "15"]
     assert [row[1] for row in rows] == ["3", "6"]
+
+
+def test_summarize_streams_its_reports(tmp_path, monkeypatch):
+    # a 20,000-row report is aggregated in far less memory than its rows,
+    # and more distinct moduli than MAX_LIST_VALUES is a usage error
+    big = tmp_path / "big.csv"
+    rows = [f"{6 + i % 4},0,true,1.33,0.1,0.2,{0.5 + (i % 7) / 10},1.41,true,trial_{i}" for i in range(20_000)]
+    big.write_text(",".join(cli.VERIFY_COLUMNS) + "\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "sum.csv"
+    tracemalloc.start()
+    assert main(["summarize", str(big), "--output", str(out)]) == 0
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 1 << 20
+    assert rows_of(out)[1] == [[str(n), "5000", "1.1", "true"] for n in (6, 7, 8, 9)]
+    monkeypatch.setattr(cli, "MAX_LIST_VALUES", 3)
+    assert main(["summarize", str(big)]) == 2
+    monkeypatch.setattr(cli, "MAX_LIST_VALUES", 4)
+    assert main(["summarize", str(big), "--output", str(out)]) == 0
 
 
 def test_csv_rerun_identical_up_to_walltime(tmp_path):

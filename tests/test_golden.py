@@ -20,7 +20,9 @@ from workloads import EXPECTED_EXIT, battery_argv, run_cli  # noqa: E402
 
 GOLDEN = PERFBENCH / "golden"
 BATTERY = battery_argv(GOLDEN)
-EXACT = ("01-energy.", "02-certificate.", "06-sharpness.")  # reports that match byte for byte
+# reports whose floats drifted in their last bits from the corpus, within
+# compare's relative 1e-9; every other report must match byte for byte
+DRIFTED = ("03-decay.json", "05-dual-verify.json", "07-uncertainty.json")
 
 
 @pytest.mark.parametrize("name,argv", BATTERY, ids=[name for name, _ in BATTERY])
@@ -29,5 +31,5 @@ def test_report_matches_golden(name, argv):
     assert code == EXPECTED_EXIT
     want = (GOLDEN / name).read_text(encoding="utf-8")
     assert compare(want, text, name.rsplit(".", 1)[1]) is None
-    if name.startswith(EXACT):
+    if name not in DRIFTED:
         assert text == want

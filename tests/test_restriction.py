@@ -37,11 +37,9 @@ from restrictlab.restriction import (
     _GRID_CHUNK_BYTES,
     _SCREEN_PROBE,
     _SCREEN_SLACK,
-    _chunk_size,
     _extension_norms,
     _fourth_power_bound,
     _frobenius2,
-    _gram_by_gemm,
     _gram_products,
     _grams,
     _lambda_max_bound,
@@ -49,6 +47,7 @@ from restrictlab.restriction import (
     _margins,
     _random_supports,
     _scan_chunk,
+    _scan_plan,
     _signal_norm,
     _top_eigenvalue,
 )
@@ -337,8 +336,8 @@ def test_extension_kernel_matches_inverse_transform(n):
 @pytest.mark.parametrize("n", [6, 15, 35, 105])
 def test_restriction_lhs_matches_dense_transform_bit_for_bit(n):
     # lhs from the scaled transform equals the W @ X @ W / N formula read on
-    # the parabola, bit for bit, on single grids, a batch in one chunk and a
-    # batch over several chunks.
+    # the parabola of each grid, bit for bit, on single grids, a batch in one
+    # chunk and a batch over several chunks.
     ring = make_ring(n)
     sigma = build_parabola(ring)
     w = _dft_matrix(n)
@@ -346,17 +345,20 @@ def test_restriction_lhs_matches_dense_transform_bit_for_bit(n):
     step = _GRID_CHUNK_BYTES // (16 * n * n)
     for shape in ((n, n), (5, n, n), (2 * step + 3, n, n)):
         vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        on_parab = (np.matmul(w, np.matmul(vals, w)) / n)[..., sigma.rows, sigma.cols]
-        want = (np.abs(on_parab) ** 2.0).mean(axis=-1) ** 0.5
+        want = [
+            (np.abs((np.matmul(w, np.matmul(grid, w)) / n)[sigma.rows, sigma.cols]) ** 2.0).mean() ** 0.5
+            for grid in vals.reshape(-1, n, n)
+        ]
         lhs, _ = restriction_quantities(ring, vals, sigma)
         assert lhs.shape == shape[:-2]
-        assert np.array_equal(lhs, want)
+        assert np.array_equal(lhs.reshape(-1), want)
 
 
-def _unchunked_quantities(n, values, sigma, s=2.0, r=4.0 / 3.0):
-    # the kernel's expressions on the whole batch at once, with numpy's mean
-    on_parab = dft_array(n, values)[..., sigma.rows, sigma.cols]
-    return (np.abs(on_parab) ** s).mean(axis=-1) ** (1.0 / s), _signal_norm(values, r, n)
+def _unchunked_quantities(n, grid, sigma, s=2.0, r=4.0 / 3.0):
+    # the kernel's expressions on one (N, N) grid, with numpy's reductions
+    # over the whole grid and scalar roots
+    on_parab = dft_array(n, grid)[sigma.rows, sigma.cols]
+    return (np.abs(on_parab) ** s).mean() ** (1.0 / s), (np.abs(grid) ** r).sum() ** (1.0 / r) / n
 
 
 @pytest.mark.parametrize(
@@ -377,9 +379,9 @@ def test_chunked_batch_matches_the_unchunked_batch_bit_for_bit(n, lead):
     last = values.reshape(-1, n, n)[-1:]
     for s, r in ((2.0, 4.0 / 3.0), (4.0, 6.0 / 5.0)):
         lhs, rhs = restriction_quantities(ring, values, sigma, s, r)
-        want_lhs, want_rhs = _unchunked_quantities(n, values, sigma, s, r)
         assert lhs.shape == rhs.shape == values.shape[:-2]
-        assert np.array_equal(lhs, want_lhs) and np.array_equal(rhs, want_rhs)
+        want = [_unchunked_quantities(n, grid, sigma, s, r) for grid in values.reshape(-1, n, n)]
+        assert np.array_equal(np.stack([lhs.reshape(-1), rhs.reshape(-1)], axis=1), want)
         # a grid gets the same bits in a batch of one as inside the larger batch
         one_lhs, one_rhs = restriction_quantities(ring, last, sigma, s, r)
         assert one_lhs.shape == one_rhs.shape == (1,)
@@ -388,8 +390,8 @@ def test_chunked_batch_matches_the_unchunked_batch_bit_for_bit(n, lead):
 
 @pytest.mark.parametrize("n", [9, 15])
 def test_single_grid_quantities_keep_the_lone_grid_reductions(n):
-    # a single (N, N) grid is not reshaped to (1, N, N): its bits are those
-    # of numpy's reductions over the lone grid
+    # a single (N, N) grid runs as a chunk of one and gets the bits of
+    # numpy's reductions over the lone grid, as 0-d arrays
     ring = make_ring(n)
     sigma = build_parabola(ring)
     grid = spawn_rng(43, n).standard_normal((n, n)) + 1j
@@ -399,6 +401,23 @@ def test_single_grid_quantities_keep_the_lone_grid_reductions(n):
     assert lhs == want_lhs and rhs == want_rhs
     with pytest.raises(ValueError, match="trailing axes"):
         restriction_quantities(ring, grid.reshape(-1), sigma)
+
+
+@pytest.mark.parametrize("n", [7, 12, 25, 35, 51])
+def test_each_batch_row_equals_its_grid_scored_alone(n):
+    # Gaussian and structured grids in one batch: every row's lhs and rhs,
+    # and _signal_norm's, equal those of the grid scored alone, bit for bit
+    ring = make_ring(n)
+    sigma = build_parabola(ring)
+    rng = spawn_rng(45, n)
+    grids = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(6)]
+    grids += [vals for _, vals in structured_values(ring, 12, spawn_rng(46, n))]
+    batch = np.stack(grids)
+    for s, r in ((2.0, 4.0 / 3.0), (2.0, 6.0 / 5.0), (4.0, 6.0 / 5.0), (2.0, 1.0), (3.0, 1.5)):
+        lhs, rhs = restriction_quantities(ring, batch, sigma, s, r)
+        alone = [restriction_quantities(ring, grid, sigma, s, r) for grid in grids]
+        assert np.array_equal(np.stack([lhs, rhs], axis=1), alone), (s, r)
+        assert np.array_equal(_signal_norm(batch, r, n), [_signal_norm(grid, r, n) for grid in grids])
 
 
 @pytest.mark.parametrize("n, batch", [(35, 200), (35, 1000), (105, 60)])
@@ -774,16 +793,17 @@ def test_margin_is_translation_invariant():
 
 
 def test_gram_by_gemm_choice():
-    assert _gram_by_gemm(6, 6545, 4)  # N=6 exhaustive at size 4
-    assert _gram_by_gemm(6, 50_000, 8)
-    assert _gram_by_gemm(15, 5_000, 56)
-    assert not _gram_by_gemm(105, 100, 5)  # P alone would be 1.9 GB
-    assert not _gram_by_gemm(15, 500, 4)  # indicator wider than the row stack
+    assert _scan_plan(6, 4, 6545)[1]  # N=6 exhaustive at size 4
+    assert _scan_plan(6, 8, 50_000)[1]
+    assert _scan_plan(15, 56, 5_000)[1]
+    assert not _scan_plan(105, 5, 100)[1]  # P alone would be 1.9 GB
+    assert not _scan_plan(15, 4, 500)[1]  # indicator wider than the row stack
     for n in (2, 3, 6, 15, 35, 105):
         for b in (1, 64, 5_000, 100_000):
             for k in (1, 4, n, n * n // 4):
-                if _gram_by_gemm(n, b, k):
-                    assert n**3 <= b * k  # P is no larger than the gather
+                chunk, gemm = _scan_plan(n, k, b)
+                if gemm:
+                    assert n**3 <= chunk * k  # P is no larger than the gather
 
 
 @pytest.mark.parametrize("n", [10, 14, 15])
@@ -807,17 +827,17 @@ def test_chunk_size_caps_chunk_bytes():
     # stay at their batch; the benchmark's randomized chunks, criterion 6's,
     # the CLI default at N=15 and large N are capped.
     for n, k, batch in ((6, 4, 6545), (15, 4, 500), (6, 4, 500)):
-        assert _chunk_size(n, k, batch) == batch
+        assert _scan_plan(n, k, batch)[0] == batch
     for n, k, batch, chunk in ((6, 8, 50_000, 11_366), (15, 56, 5_000, 1_818), (6, 6, 100_000, 11_366),
                                (6, 7, 100_000, 11_366), (6, 8, 100_000, 11_366), (42, 220, 100_000, 81)):
-        assert _chunk_size(n, k, batch) == chunk
-    assert _chunk_size(15, 56, 100_000) == _CHUNK_BYTES // (33 * 225 + 8 * 225) == 1_818  # one GEMM
-    assert _chunk_size(42, 220, 100_000) == _CHUNK_BYTES // (33 * 42**2 + 16 * 220 * 42)  # row gather
-    assert _chunk_size(6, 8, 0) == 1
+        assert _scan_plan(n, k, batch)[0] == chunk
+    assert _scan_plan(15, 56, 100_000) == (_CHUNK_BYTES // (33 * 225 + 8 * 225), True) == (1_818, True)  # one GEMM
+    assert _scan_plan(42, 220, 100_000) == (_CHUNK_BYTES // (33 * 42**2 + 16 * 220 * 42), False)  # row gather
+    assert _scan_plan(6, 8, 0)[0] == 1
     for n in (2, 6, 15, 30, 42, 105):
         for k in (1, n, n * n // 8, n * n // 2):
-            b = _chunk_size(n, k, 100_000)
-            per_support = 33 * n * n + (8 * n * n if _gram_by_gemm(n, b, k) else 16 * k * n)
+            b, gemm = _scan_plan(n, k, 100_000)
+            per_support = 33 * n * n + (8 * n * n if gemm else 16 * k * n)
             assert b == 1 or b * per_support <= _CHUNK_BYTES
 
 
