@@ -12,6 +12,8 @@ import argparse
 import csv
 import io
 import json
+import math
+import os
 import sys
 import time
 from collections.abc import Sequence
@@ -27,7 +29,6 @@ from .parabola import (
     build_parabola,
     decay_bytes,
     decay_profile,
-    energy_bytes,
     energy_exact,
     pair_sum_bytes,
 )
@@ -83,7 +84,14 @@ MEMORY_BUDGET = 1 << 30  # bytes one modulus of a budgeted command may allocate
 
 MAX_LIST_VALUES = 100_000  # integers one --n or --sizes list may name, ranges expanded
 
-MAX_MODULUS = 10**12  # largest --n value; make_ring's trial division takes about 0.08 s on a prime this size
+MAX_MODULUS = 10**12  # largest --n value; make_ring's trial division takes about 0.05 s on a prime this size
+
+MAX_FACTOR_STEPS = 10**8  # trial divisions one --n list may cost (about 10 s), counted before any is made
+
+# Bytes per [re, im] pair a recover --input file may hold.  signal_to_json
+# writes at most 54: two 24-character floats, brackets and separators; the
+# rest leaves room for indentation.
+SIGNAL_FILE_PAIR_BYTES = 128
 
 
 class UsageError(Exception):
@@ -114,11 +122,18 @@ def _parse_int_tokens(tokens: Sequence[str], flag: str) -> list[int]:
 
 
 def _resolve_moduli(args: argparse.Namespace) -> list[RingContext]:
-    rings = []
-    for n in _parse_int_tokens(args.moduli, "--n"):
-        if not 2 <= n <= MAX_MODULUS:  # before make_ring factors it
+    """The rings of --n; each value, and the trial divisions of the whole list, are bounded first."""
+    moduli = _parse_int_tokens(args.moduli, "--n")
+    for n in moduli:
+        if not 2 <= n <= MAX_MODULUS:
             raise UsageError(f"modulus must be in [2, {MAX_MODULUS}], got {n}")
-        rings.append(make_ring(n))
+    # make_ring divides by 2 and the odd numbers up to sqrt(n)
+    steps = sum(math.isqrt(n) // 2 + 1 for n in moduli)
+    if steps > MAX_FACTOR_STEPS:
+        raise UsageError(
+            f"--n needs about {steps} trial divisions to factor, over the limit of {MAX_FACTOR_STEPS}"
+        )
+    rings = [make_ring(n) for n in moduli]
     if args.squarefree_only:
         rings = [ring for ring in rings if ring.squarefree]
         if not rings:
@@ -205,7 +220,6 @@ def _check_memory(args: argparse.Namespace, rings: list[RingContext], estimate) 
 
 
 def _cmd_energy(args: argparse.Namespace, rings: list[RingContext]) -> Report:
-    _check_memory(args, rings, energy_bytes)
     rows = []
     violated = False
     for ring in rings:
@@ -260,7 +274,6 @@ def _cmd_dual_verify(args: argparse.Namespace, rings: list[RingContext]) -> Repo
 
 
 def _cmd_certificate(args: argparse.Namespace, rings: list[RingContext]) -> Report:
-    _check_memory(args, rings, energy_bytes)
     certs = [universal_certificate(build_parabola(ring)) for ring in rings]
     rows = [_fields(cert, CERTIFICATE_COLUMNS) for cert in certs]
     return CERTIFICATE_COLUMNS, rows, not all(cert.satisfied for cert in certs)
@@ -297,8 +310,14 @@ def _cmd_recover(args: argparse.Namespace, rings: list[RingContext]) -> Report:
     _check_memory(args, rings, recover_bytes)
     ring = rings[0]
     if args.input is not None:
+        limit = SIGNAL_FILE_PAIR_BYTES * ring.modulus**2 + 1024  # the pairs, plus the "n" key and brackets
         try:
             with open(args.input, "r", encoding="utf-8") as fh:
+                size = os.fstat(fh.fileno()).st_size
+                if size > limit:
+                    raise UsageError(
+                        f"signal file {args.input} has {size} bytes, over the {limit} that n={ring.modulus} allows"
+                    )
                 truth = signal_from_json_dict(json.load(fh))
         except OSError as exc:
             raise UsageError(f"cannot read {args.input}: {exc}") from None

@@ -2,6 +2,8 @@
 
 Exponential sums over it, exact additive energy of its subsets with the
 paper's bound 2^omega (energy_constant), and its restriction / extension maps.
+The full parabola's energy and largest pair-sum class are closed forms in the
+factorization of N; a subset's are counted from its pair sums.
 """
 
 from __future__ import annotations
@@ -18,33 +20,38 @@ from .zmod import RingContext
 
 @dataclass(frozen=True, eq=False)
 class ParabolaSet:
-    """The N points (t, t^2 mod N), in t order."""
+    """The N points (t, t^2 mod N), in t order; the index arrays are built on first use.
+
+    t * t is exact in intp (int64) for N < 3 * 10^9, far above any modulus
+    whose (N,)-arrays a budgeted command builds.
+    """
 
     ring: RingContext
-    points: tuple[tuple[int, int], ...]
 
     @cached_property
     def rows(self) -> np.ndarray:
         # first coordinates, i.e. t itself
-        return np.array([p[0] for p in self.points], dtype=np.intp)
+        return np.arange(self.ring.modulus, dtype=np.intp)
 
     @cached_property
     def cols(self) -> np.ndarray:
         # second coordinates t^2 mod N
-        return np.array([p[1] for p in self.points], dtype=np.intp)
+        return self.rows * self.rows % self.ring.modulus
 
     @cached_property
     def point_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.points)
+        return frozenset(zip(self.rows.tolist(), self.cols.tolist()))
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.ring.modulus
 
 
 def build_parabola(ring: RingContext) -> ParabolaSet:
-    """All N points (t, t^2 mod N); distinct because t is the first coordinate."""
-    n = ring.modulus
-    return ParabolaSet(ring, tuple((t, (t * t) % n) for t in range(n)))
+    """The parabola mod N: all N points (t, t^2 mod N), distinct because t is the first coordinate.
+
+    O(1): nothing is built until rows, cols or point_set is read.
+    """
+    return ParabolaSet(ring)
 
 
 def energy_constant(ring: RingContext) -> int:
@@ -170,12 +177,40 @@ def _pair_counts(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return wide.reshape(2, n, 2, n).sum(axis=(0, 2), dtype=np.int64)
 
 
-@lru_cache(maxsize=None)
-def _prime_power_energy(q: int) -> tuple[int, int]:
-    """(E, max_rep) of the full parabola mod q, from its pair-sum counts."""
-    t = np.arange(q, dtype=np.intp)
-    counts = _pair_counts(t, t * t % q, q)
-    return int((counts * counts).sum()), int(counts.max())
+def _prime_power_energy(p: int, k: int) -> tuple[int, int]:
+    """(E, max_rep) of the full parabola mod q = p^k, in closed form.
+
+    r(m) is the number of pairs (t1, t2) with t1 + t2 = m1 and
+    t1^2 + t2^2 = m2 (mod q); E = sum_m r(m)^2 and max_rep = max_m r(m).
+
+    E: in a coincidence p_t1 + p_t2 = p_t3 + p_t4 put u = t1 - t3 = t4 - t2.
+    The second coordinate becomes 2u(t3 - t2) = 0, so each u leaves
+    q * gcd(2u, q) choices of (t2, t3), and E = q * sum_{u mod q} gcd(2u, q).
+    Pillai's sum_{u mod p^j} gcd(u, p^j) = (j + 1) p^j - j p^(j-1) gives
+    E = p^k ((k + 1) p^k - k p^(k-1)) for odd p, and for p = 2, where the
+    sum is 4 times Pillai's at j = k - 1, E = (k + 1) 4^k.
+
+    max_rep for odd p: (t1, t2) -> (t1 + t2, t1 - t2) is a bijection and
+    2(t1^2 + t2^2) = (t1 + t2)^2 + (t1 - t2)^2, so r(m) is the number of
+    square roots of 2 m2 - m1^2 mod p^k.  A unit has 2 or none, p^(2i) w
+    (w a unit, 2i < k) has 2 p^i or none, another nonzero value none, and 0
+    has p^floor(k/2).  The largest count is p^(k/2) for even k and
+    2 p^((k-1)/2) for odd k.
+
+    max_rep for p = 2: with t2 = m1 - t1, r(m) is the number of t mod q with
+    2t(t - m1) = m2 - m1^2.  For odd m1, t(t - m1) has an odd derivative, so
+    by Hensel it takes each value mod 2^(k-1) at most twice, and
+    r <= min(4, q).  For m1 = 2a, s = t - a turns the equation into
+    2 s^2 = m2 - 2a^2, so r is twice the number of square roots of a value
+    mod 2^(k-1).  Mod 2^j that number is at most 2^ceil(j/2) for j != 1
+    (reached at 0 for even j, at 4^((j-3)/2) for odd j >= 3), and 1 at
+    j = 1.  So max_rep = 2^(floor(k/2) + 1): at m = (0, 0) for odd k, at
+    m = (0, 2 * 4^((k-4)/2)) for even k >= 4, and at m = (1, 1) for k = 2.
+    """
+    q, half = p**k, p ** (k // 2)
+    if p == 2:
+        return (k + 1) * q * q, 2 * half
+    return q * ((k + 1) * q - k * (q // p)), half if k % 2 == 0 else 2 * half
 
 
 _PAIR_CHUNK_BYTES = 1 << 20  # bytes of pair products per chunk of rows; small chunks stay in cache
@@ -269,33 +304,22 @@ def pair_sum_bytes(ring: RingContext) -> int:
     return 56 * pairs + 3 * max(_PAIR_CHUNK_BYTES, 16 * pairs)
 
 
-def energy_bytes(ring: RingContext) -> int:
-    """Peak bytes energy_exact allocates for the full parabola mod N.
-
-    Only the largest prime power q || N is counted: its q^2 pair codes
-    (8 q^2), the (2q)^2 unreduced histogram (32 q^2) and the folded counts
-    (8 q^2).
-    """
-    q = max(p**e for p, e in ring.prime_factors)
-    return 48 * q * q
-
-
 def energy_exact(sigma: ParabolaSet, subset: Iterable | None = None) -> EnergyReport:
-    """Exact E(U) = #{(x, y, x', y') in U^4 : x + y = x' + y'}.
+    """Exact E(U) = #{(x, y, x', y') in U^4 : x + y = x' + y'} and max_rep, the largest pair-sum class.
 
-    Squared multiplicities of the |U|^2 pairwise sums, summed; integer
-    arithmetic throughout, valid for every modulus.  A subset is counted at
-    modulus N.  The full parabola is counted per prime power, then
-    multiplied: by CRT it is the product of the parabolas mod each q || N,
-    so its pair-sum multiplicities, and with them E and max_rep, are
-    products of theirs.
+    A subset is counted at modulus N: the squared multiplicities of its
+    |U|^2 pairwise sums, summed, in integer arithmetic.  The full parabola
+    takes a few integer operations at any modulus: by CRT it is the product
+    of the parabolas mod each q || N, so its pair-sum multiplicities, and
+    with them E and max_rep, are products of the closed forms of
+    _prime_power_energy.
     """
     ring = sigma.ring
     n = ring.modulus
     if subset is None:
         size, energy, max_rep = n, 1, 1
         for p, e in ring.prime_factors:
-            energy_q, max_q = _prime_power_energy(p**e)
+            energy_q, max_q = _prime_power_energy(p, e)
             energy, max_rep = energy * energy_q, max_rep * max_q
     else:
         idx = _subset_indices(sigma, subset)

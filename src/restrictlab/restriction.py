@@ -237,10 +237,12 @@ class UniversalCertificate:
 
 
 def universal_certificate(sigma: ParabolaSet) -> UniversalCertificate:
-    """Certificates from energy counts per prime power, then multiplied; squarefree moduli only.
+    """Certificates from the full parabola's largest pair-sum class; squarefree moduli only.
 
     lambda_energy bounds every subset at once: for U inside Sigma each pair-sum
     multiplicity is at most the full-set maximum, so E(U) <= max_rep * |U|^2.
+    max_rep is energy_exact's closed form, a product over the prime powers of
+    N, so a certificate costs a few integer operations at any modulus.
     """
     ring = sigma.ring
     constant = certified_constant(ring)  # the squarefree gate, before the energy count

@@ -11,6 +11,7 @@ from restrictlab import cli, fourier, parabola
 from restrictlab.cli import main
 from restrictlab.fourier import Signal2D, _dft_matrix, _idft_matrix, signal_to_json
 from restrictlab.parabola import _pair_classes
+from restrictlab.rng import spawn_rng
 from restrictlab.zmod import make_ring
 
 WALLTIME = re.compile(r"walltime_s=[0-9.]+")
@@ -229,19 +230,62 @@ def test_huge_moduli_are_refused_before_factoring(tmp_path, capsys, monkeypatch)
     assert main(["energy", "--n", str(cli.MAX_MODULUS + 1)]) == 2
 
 
+def test_trial_divisions_of_a_list_are_bounded_before_factoring(tmp_path, capsys, monkeypatch):
+    # 100,000 values just below 10^12 would factor for about 13 minutes; the
+    # bound counts isqrt(n) // 2 + 1 divisions per value before make_ring runs.
+    def refuse(n):
+        raise AssertionError(f"make_ring({n}) called")
+
+    monkeypatch.setattr(cli, "make_ring", refuse)
+    assert main(["energy", "--n", "999999900001..1000000000000"]) == 2
+    error = capsys.readouterr().err
+    assert error.startswith("error: --n needs about 50000000001 trial divisions")
+    assert error.endswith(f"over the limit of {cli.MAX_FACTOR_STEPS}\n") and error.count("\n") == 1
+    monkeypatch.undo()
+    out = tmp_path / "energy.csv"
+    assert main(["energy", "--n", "2..100000", "--output", str(out)]) == 0
+    _, rows = rows_of(out)
+    assert len(rows) == 99999
+    assert rows[-1] == ["100000", "2", "100000", "300000000000", "40000000000", "400"]
+
+
+def test_recover_refuses_an_oversized_signal_file_before_parsing(tmp_path, capsys, monkeypatch):
+    ring = make_ring(15)
+    values = spawn_rng(3, 15).standard_normal((15, 15))
+    sig = tmp_path / "sig.json"
+    # an indented file of full-length floats is within the limit
+    sig.write_text(json.dumps(fourier.grid_to_json_dict(Signal2D(ring, values)), indent=4))
+    out = str(tmp_path / "r.csv")
+    assert main(["recover", "--n", "15", "--input", str(sig), "--max-iterations", "5", "--output", out]) == 0
+    text = signal_to_json(Signal2D(ring, np.zeros((15, 15))))
+    sig.write_text(text + " " * (cli.SIGNAL_FILE_PAIR_BYTES * 15 * 15))
+
+    def refuse(fh):
+        raise AssertionError("json.load called")
+
+    monkeypatch.setattr(json, "load", refuse)
+    assert main(["recover", "--n", "15", "--input", str(sig)]) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error: signal file {sig} has {sig.stat().st_size} bytes, over the ")
+
+
 def test_memory_budget_is_a_usage_error(tmp_path, capsys, monkeypatch):
     # Estimates only: nothing is allocated before the check refuses.
     out = str(tmp_path / "x.csv")
     assert main(["decay", "--n", "20000", "--output", out]) == 2
     assert main(["decay", "--n", "2..5", "20000", "--output", out]) == 2
-    assert main(["energy", "--n", "10007", "--output", out]) == 2
     assert main(["dual-verify", "--n", "20001", "--output", out]) == 2  # squarefree, so the budget refuses it
     errors = capsys.readouterr().err.splitlines()
-    assert len(errors) == 4 and all("MB budget" in line for line in errors)
-    assert "N=20000" in errors[0] and "N=10007" in errors[2] and "dual-verify at N=20001" in errors[3]
-    monkeypatch.setattr(cli, "MEMORY_BUDGET", cli.energy_bytes(make_ring(15)) - 1)
-    assert main(["energy", "--n", "15", "--output", out]) == 2
-    assert main(["energy", "--n", "3", "4", "--output", out]) == 0  # q = 4 fits, 5 does not
+    assert len(errors) == 3 and all("MB budget" in line for line in errors)
+    assert "N=20000" in errors[0] and "dual-verify at N=20001" in errors[2]
+    # The full parabola's energy is a closed form: no budget applies to it.
+    p = 10007
+    assert main(["energy", "--n", str(p), "--output", out]) == 0
+    assert rows_of(tmp_path / "x.csv")[1] == [[str(p), "1", str(p), str(2 * p * p - p), str(2 * p * p), "2"]]
+    monkeypatch.setattr(cli, "MEMORY_BUDGET", 0)
+    assert main(["energy", "--n", "3", "4", "15", str(p), "--output", out]) == 0
+    assert [row[5] for row in rows_of(tmp_path / "x.csv")[1]] == ["2", "4", "4", "2"]
     monkeypatch.setattr(cli, "MEMORY_BUDGET", cli.decay_bytes(make_ring(15)))
     assert main(["decay", "--n", "15", "--output", out]) == 0
     assert main(["decay", "--n", "16", "--output", out]) == 2
@@ -274,11 +318,17 @@ def test_scoring_search_and_certificate_memory_budget(tmp_path, capsys, monkeypa
     assert main(["restrict-verify", "--n", "3001", "--trials", "1", "--output", out]) == 2
     assert main(["sharpness", "--n", "9", "3001", "--trials", "1", "--output", out]) == 2
     assert main(["uncertainty", "--n", "1001", "--trials", "1", "--output", out]) == 2
-    assert main(["certificate", "--n", "10007", "--output", out]) == 2
     errors = capsys.readouterr().err.splitlines()
-    assert len(errors) == 4 and all("MB budget" in line for line in errors)
+    assert len(errors) == 3 and all("MB budget" in line for line in errors)
     assert "restrict-verify at N=3001" in errors[0] and "sharpness at N=3001" in errors[1]
-    assert "uncertainty at N=1001" in errors[2] and "certificate at N=10007" in errors[3]
+    assert "uncertainty at N=1001" in errors[2]
+    # certificate reads max_rep from the closed form: no budget applies to it.
+    certified = ["1", "2", "1.189207115", "1.189207115", "true"]
+    for budget in (0, cli.MEMORY_BUDGET):
+        monkeypatch.setattr(cli, "MEMORY_BUDGET", budget)
+        assert main(["certificate", "--n", "10007", "999999999989", "--output", out]) == 0
+        _, rows = rows_of(tmp_path / "x.csv")
+        assert rows == [["10007", "1", *certified], ["999999999989", "1", *certified]]
     assert cli.restriction_bytes(make_ring(3001)) == 8 * 16 * 3001**2
     assert main(["uncertainty", "--n", "15", "--max-support", str(10**9), "--output", out]) == 2
     assert "max_support" in capsys.readouterr().err  # the zone check, not the budget

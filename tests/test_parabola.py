@@ -13,7 +13,6 @@ from restrictlab.parabola import (
     build_parabola,
     decay_bytes,
     decay_profile,
-    energy_bytes,
     energy_exact,
     exp_sum,
     extend_from,
@@ -165,25 +164,89 @@ def test_squarefree_energy_density_is_product_of_kappas():
 
 
 def test_resource_estimates_follow_the_prime_powers():
-    # energy counts only its largest prime power q; decay also holds N x N grids.
-    assert energy_bytes(make_ring(360)) == 48 * 9 * 9
-    assert energy_bytes(make_ring(20000)) == 48 * 625 * 625
-    assert energy_bytes(make_ring(10007)) == 48 * 10007 * 10007
+    # decay holds N x N grids, and W_q products at the largest prime power q.
     assert decay_bytes(make_ring(35)) == 25 * 35 * 35 + 48 * 7 * 7
     assert decay_bytes(make_ring(20000)) == 25 * 20000 * 20000 + 48 * 625 * 625
-    # At small N the estimates cover what tracemalloc sees numpy allocate,
-    # up to a few kB of per-call objects, with every cache cold.
+    # At small N the estimate covers what tracemalloc sees numpy allocate,
+    # up to a few kB of per-call objects, with the DFT matrix cache cold.
     for n in (101, 202, 243, 388, 1001):
         ring = make_ring(n)
         sigma = build_parabola(ring)
-        for kernel, estimate in ((energy_exact, energy_bytes), (decay_profile, decay_bytes)):
-            for cache in (parabola._prime_power_energy, _dft_matrix):
-                cache.cache_clear()
-            tracemalloc.start()
-            kernel(sigma)
-            peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
-            assert peak <= estimate(ring) + 16_384, (n, kernel.__name__)
+        _dft_matrix.cache_clear()
+        tracemalloc.start()
+        decay_profile(sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= decay_bytes(ring) + 16_384, n
+
+
+def prime_powers(limit):
+    """Every prime power q = p^k <= limit as (q, p, k), ascending in q, from a sieve."""
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    found = []
+    for p in np.flatnonzero(sieve).tolist():
+        q, k = p, 1
+        while q <= limit:
+            found.append((q, p, k))
+            q, k = q * p, k + 1
+    return sorted(found)
+
+
+def test_full_energy_closed_forms_match_the_pair_sum_histogram():
+    # The per-prime-power closed forms against the (2q)^2 pair-sum histogram.
+    checked = prime_powers(1024)
+    assert len(checked) == 198 and checked[-1] == (1024, 2, 10)
+    for q, p, k in checked:
+        ring = make_ring(q)
+        assert ring.prime_factors == ((p, k),)
+        t = np.arange(q, dtype=np.intp)
+        counts = parabola._pair_counts(t, t * t % q, q)
+        report = energy_exact(build_parabola(ring))
+        assert (report.energy, report.max_rep) == (int((counts * counts).sum()), int(counts.max())), q
+
+
+def test_full_energy_is_q_times_a_gcd_sum():
+    # With u = t1 - t3 = t4 - t2 a coincidence needs 2u(t3 - t2) = 0 mod q,
+    # so E(q) = q * sum_{u mod q} gcd(2u, q), summed here in Python integers.
+    for q, _, _ in prime_powers(5000):
+        gcd_sum = sum(math.gcd(2 * u, q) for u in range(q))
+        assert energy_exact(build_parabola(make_ring(q))).energy == q * gcd_sum, q
+
+
+def test_odd_max_rep_is_the_largest_square_root_count():
+    # For odd q, r(m1, m2) is the number of square roots of 2 m2 - m1^2 mod q.
+    for q, p, _ in prime_powers(10**5):
+        if p == 2:
+            continue
+        d = np.arange(q, dtype=np.int64)
+        roots = np.bincount(d * d % q)
+        assert energy_exact(build_parabola(make_ring(q))).max_rep == int(roots.max()), q
+
+
+def test_full_energy_at_a_prime_near_the_modulus_cap_allocates_nothing():
+    ring = make_ring(999999999989)
+    p = ring.modulus
+    assert ring.prime_factors == ((p, 1),)
+    tracemalloc.start()
+    report = energy_exact(build_parabola(ring))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert (report.energy, report.max_rep) == (2 * p * p - p, 2)
+    assert peak < 64 * 1024
+
+
+def test_index_arrays_match_the_point_formula():
+    for n in range(2, 61):
+        sigma = build_parabola(make_ring(n))
+        points = [(t, t * t % n) for t in range(n)]
+        assert sigma.rows.dtype == sigma.cols.dtype == np.intp
+        assert list(zip(sigma.rows.tolist(), sigma.cols.tolist())) == points
+        assert sigma.point_set == frozenset(points)
+        assert len(sigma) == n
 
 
 def test_pair_sum_estimate_covers_one_chunk():
