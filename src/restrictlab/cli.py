@@ -17,6 +17,7 @@ import os
 import sys
 import time
 from collections.abc import Sequence
+from functools import lru_cache
 from typing import Any
 
 import numpy as np
@@ -443,6 +444,7 @@ COMMANDS = {  # name: (report builder, help)
 }
 
 
+@lru_cache(maxsize=1)  # parse_args leaves the parser as it was, so one serves every main call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="restrictlab",

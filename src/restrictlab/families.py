@@ -68,8 +68,9 @@ def structured_values(
 ) -> Iterator[tuple[str, np.ndarray]]:
     """Exactly count labeled grids cycling through the structured kinds.
 
-    Deltas, characters, contiguous boxes, stride boxes over divisors, sparse
-    indicators, sparse Gaussian/unimodular supports, and the constant one.
+    Seven kinds, in this order: deltas, characters, contiguous boxes, stride
+    boxes over divisors, sparse indicators, sparse Gaussian supports and
+    sparse unimodular supports.
     """
     n = ring.modulus
     divisors = [d for d in range(1, n + 1) if n % d == 0]

@@ -115,7 +115,7 @@ def idft(spectrum: Spectrum2D) -> Signal2D:
 
 
 def _lp(f: Any, p: float, reduce) -> float:
-    if p < 1:
+    if not p >= 1:  # NaN fails too
         raise ValueError(f"p must be >= 1, got {p}")
     a = np.abs(f.values if hasattr(f, "values") else np.asarray(f))
     return float(reduce(a**p) ** (1.0 / p))

@@ -118,9 +118,26 @@ def _roots(sums: list[float], e: float) -> np.ndarray:
     return np.fromiter(map(pow, sums, itertools.repeat(1.0 / e)), float, len(sums))
 
 
+def _power_sums(values: np.ndarray, r: float) -> np.ndarray:
+    """sum |v|^r over the last two axes, paying the power only on nonzero cells.
+
+    Equal bit for bit to (np.abs(values) ** r).sum(axis=(-2, -1)): pow(0, r)
+    is +0.0 and the power is taken value by value, so the array summed holds
+    the same values in the same layout, and the pairwise sum runs over
+    identical data.  Without a zero cell it is that dense expression.
+    """
+    a = np.abs(values)
+    nonzero = a != 0
+    if nonzero.all():
+        return (a**r).sum(axis=(-2, -1))
+    powered = np.zeros_like(a)
+    powered[nonzero] = a[nonzero] ** r
+    return powered.sum(axis=(-2, -1))
+
+
 def _signal_norm(values: np.ndarray, r: float, n: int) -> np.ndarray:
     # N^(-d/2) times the counting L^r norm over the last two axes
-    sums = (np.abs(values) ** r).sum(axis=(-2, -1))
+    sums = _power_sums(values, r)
     return _roots(sums.reshape(-1).tolist(), r).reshape(sums.shape) / n
 
 
@@ -163,7 +180,7 @@ def restriction_quantities(
         # a C-contiguous (B, N) copy, so that each row sums pairwise, as a lone grid's mean does
         on_parab = np.ascontiguousarray(dft_array(n, chunk)[:, sigma.rows, sigma.cols])
         means += ((np.abs(on_parab) ** s).sum(axis=-1) / n).tolist()
-        sums += (np.abs(chunk) ** r).sum(axis=(-2, -1)).tolist()
+        sums += _power_sums(chunk, r).tolist()
     shape = values.shape[:-2]
     return _roots(means, s).reshape(shape), (_roots(sums, r) / n).reshape(shape)
 
@@ -172,8 +189,11 @@ def restriction_bytes(ring: RingContext) -> int:
     """Peak bytes of scoring test signals one at a time at modulus N (restrict-verify, sharpness).
 
     8 complex (N, N) grids of 16 N^2 bytes: W and conj(W), the signal and
-    its Signal2D copy, the transform's two products, and |f| with |f|^r
-    and a family's index arrays.
+    its Signal2D copy, the transform's two products, and the rhs's buffers
+    with a family's index arrays.  _power_sums holds |f| (8 N^2), its mask
+    (N^2) and, when a cell is zero, the zero array (8 N^2) and the nonzero
+    cells' gathered values and their powers (under 8 N^2 each); the
+    transform's products are freed before it runs.
     """
     return 8 * 16 * ring.modulus**2
 
@@ -776,9 +796,10 @@ def sharpness_probe(ring: RingContext, *, trials: int = 200, seed: int = 0) -> P
     sparse indicators.  A translate {a + d1*i} x {b + d2*j} multiplies the
     transform by a unimodular character and permutes |f|, so it has the same
     ratio and only the box at the origin is scored.  Each candidate is scored
-    at r = 4/3 and r = 6/5 as it is built and only the best report at each
-    exponent is kept (the first of equal ratios), so memory does not grow
-    with the candidate count; scoring draws nothing from the generator.
+    at r = 4/3 and r = 6/5 as it is built, and a report is built only when
+    its ratio beats the best so far at that exponent (strictly, so the first
+    of equal ratios is kept); memory does not grow with the candidate count,
+    and scoring draws nothing from the generator.
     trials must be >= 0.
     """
     if trials < 0:
@@ -788,9 +809,9 @@ def sharpness_probe(ring: RingContext, *, trials: int = 200, seed: int = 0) -> P
     best: list[RestrictionReport | None] = [None, None]
     for label, vals in _probe_candidates(ring, trials, seed):
         # the lhs does not depend on r, so each candidate is transformed once
-        lhs, rhs_43 = restriction_quantities(ring, vals, sigma, 2.0, 4.0 / 3.0)
-        for i, (r, rhs) in enumerate(((4.0 / 3.0, rhs_43), (6.0 / 5.0, _signal_norm(vals, 6.0 / 5.0, n)))):
-            rep = _report(ring, RestrictionParams(s=2.0, r=r, constant=None), float(lhs), float(rhs), label)
-            if best[i] is None or rep.ratio > best[i].ratio:
-                best[i] = rep
+        lhs, rhs_43 = map(float, restriction_quantities(ring, vals, sigma, 2.0, 4.0 / 3.0))
+        rhs_65 = float(_signal_norm(vals, 6.0 / 5.0, n))
+        for i, (r, rhs) in enumerate(((4.0 / 3.0, rhs_43), (6.0 / 5.0, rhs_65))):
+            if best[i] is None or _ratio(lhs, rhs) > best[i].ratio:
+                best[i] = _report(ring, RestrictionParams(s=2.0, r=r, constant=None), lhs, rhs, label)
     return ProbeResult(n=n, omega=ring.omega, squarefree=ring.squarefree, best=(best[0], best[1]))

@@ -459,6 +459,45 @@ def test_recover_takes_sizes_or_input_not_both(tmp_path, capsys):
         assert captured.out == "" and "not allowed with argument" in captured.err
 
 
+def test_the_reused_parser_leaks_no_state(tmp_path, capsys, monkeypatch):
+    # main reuses one parser per process: each run of this sequence reports
+    # what the same run reports through a freshly built parser
+    ring = make_ring(7)
+    vals = np.zeros((7, 7), dtype=np.complex128)
+    vals[1, 4] = 3.0
+    sig = tmp_path / "sig.json"
+    sig.write_text(signal_to_json(Signal2D(ring, vals)))
+    sequence = [
+        ["recover", "--n", "7", "--sizes", "3"],
+        ["recover", "--n", "7", "--input", str(sig)],  # the exclusive group takes the other source
+        ["sweep", "--n", "7", "--sizes", "2", "--trials", "1"],
+        ["sweep", "--n", "7", "--trials", "1"],  # --sizes is still required
+        ["restrict-verify", "--n", "15", "--r", "6/5", "--trials", "2"],
+        ["restrict-verify", "--n", "15", "--trials", "2"],  # --r is back at 4/3
+        ["certificate", "--n", "15", "--format", "json"],
+        ["certificate", "--n", "15"],  # CSV again
+    ]
+
+    def run_all():
+        runs = []
+        for argv in sequence:
+            code = main(argv)
+            out, err = capsys.readouterr()
+            runs.append((code, WALLTIME.sub("walltime_s=X", out), err))
+        return runs
+
+    assert cli.build_parser() is cli.build_parser()
+    reused = run_all()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert run_all() == reused
+    assert [code for code, _, _ in reused] == [0, 0, 0, 2, 0, 0, 0, 0]
+    assert "--sizes" in reused[3][2]
+    r_column = [line.split(",")[3] for line in reused[4][1].splitlines()[1:3] + reused[5][1].splitlines()[1:3]]
+    assert r_column == ["1.2", "1.2", "1.33333333333", "1.33333333333"]
+    assert json.loads(reused[6][1])["command"] == "certificate"
+    assert reused[7][1].startswith("N,omega,lambda_size,")
+
+
 def test_recover_rejects_modulus_mismatch(tmp_path):
     ring = make_ring(5)
     sig = tmp_path / "sig.json"

@@ -196,6 +196,9 @@ def test_norms():
     assert np.isclose(normalized_lp_norm(f, 1), 1.0)
     with pytest.raises(ValueError):
         lp_norm(f, 0.5)
+    for norm in (lp_norm, normalized_lp_norm):  # a NaN exponent fails every comparison
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            norm(f, float("nan"))
 
 
 def test_flat_input_accepted():

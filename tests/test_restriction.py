@@ -45,6 +45,7 @@ from restrictlab.restriction import (
     _lambda_max_bound,
     _margin,
     _margins,
+    _power_sums,
     _random_supports,
     _scan_chunk,
     _scan_plan,
@@ -406,7 +407,8 @@ def test_single_grid_quantities_keep_the_lone_grid_reductions(n):
 @pytest.mark.parametrize("n", [7, 12, 25, 35, 51])
 def test_each_batch_row_equals_its_grid_scored_alone(n):
     # Gaussian and structured grids in one batch: every row's lhs and rhs,
-    # and _signal_norm's, equal those of the grid scored alone, bit for bit
+    # and _signal_norm's, equal those of the grid scored alone, bit for bit,
+    # and the dense expressions on that grid, zero cells included
     ring = make_ring(n)
     sigma = build_parabola(ring)
     rng = spawn_rng(45, n)
@@ -418,6 +420,41 @@ def test_each_batch_row_equals_its_grid_scored_alone(n):
         alone = [restriction_quantities(ring, grid, sigma, s, r) for grid in grids]
         assert np.array_equal(np.stack([lhs, rhs], axis=1), alone), (s, r)
         assert np.array_equal(_signal_norm(batch, r, n), [_signal_norm(grid, r, n) for grid in grids])
+        want = [_unchunked_quantities(n, grid, sigma, s, r) for grid in grids]
+        assert np.array_equal(alone, want), (s, r)
+        assert np.array_equal(_signal_norm(batch, r, n), [rhs for _, rhs in want]), (s, r)
+
+
+def _edge_grids(n):
+    # all zero, all nonzero Gaussian, signed zeros, and subnormal magnitudes
+    rng = spawn_rng(47, n)
+    gaussian = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    signed = gaussian.copy()
+    parts = signed.reshape(-1).view(np.float64).reshape(-1, 2)
+    parts[0::4] = (-0.0, 0.0)
+    parts[1::4] = (0.0, -0.0)
+    parts[2::4, 0] = -0.0  # a nonzero cell with a -0.0 real part
+    tiny = np.zeros(n * n, dtype=np.complex128)
+    tiny[0::3] = 5e-324
+    tiny[1::3] = 1j * 2.5e-310
+    tiny[-1] = 1.0
+    return [np.zeros((n, n), dtype=np.complex128), gaussian, signed, tiny.reshape(n, n)]
+
+
+@pytest.mark.parametrize("n", [2, 7, 12, 35, 105])
+def test_power_sums_skip_zero_cells_bit_for_bit(n):
+    # the power paid only on nonzero cells sums to the dense expression's
+    # bits, for a lone grid and as rows of a batch
+    ring = make_ring(n)
+    grids = [vals for _, vals in structured_values(ring, 14, spawn_rng(48, n))]  # each kind twice
+    grids += _edge_grids(n)
+    assert {bool(np.all(grid)) for grid in grids} == {True, False}  # both paths run
+    batch = np.stack(grids)
+    for r in (1.0, 6.0 / 5.0, 4.0 / 3.0, 3.0 / 2.0, 2.0):
+        for grid in grids:
+            want = (np.abs(grid) ** r).sum(axis=(-2, -1))
+            assert np.array_equal(_power_sums(grid, r), want), r
+        assert np.array_equal(_power_sums(batch, r), (np.abs(batch) ** r).sum(axis=(-2, -1))), r
 
 
 @pytest.mark.parametrize("n, batch", [(35, 200), (35, 1000), (105, 60)])
@@ -956,6 +993,36 @@ def test_probe_scores_each_candidate_as_it_is_built():
     assert [report.r for report in probe.best] == [4.0 / 3.0, 6.0 / 5.0]
     assert all(report.constant is None for report in probe.best)
     assert peak < 20 * 16 * 49 * 49
+
+
+def _eager_probe_best(ring, trials, seed):
+    # every candidate's report at both exponents, then the first largest ratio of each
+    sigma = build_parabola(ring)
+    n = ring.modulus
+    reports = ([], [])
+    for label, vals in restriction._probe_candidates(ring, trials, seed):
+        lhs, rhs_43 = restriction_quantities(ring, vals, sigma, 2.0, 4.0 / 3.0)
+        for kept, r, rhs in zip(reports, (4.0 / 3.0, 6.0 / 5.0), (rhs_43, _signal_norm(vals, 6.0 / 5.0, n))):
+            params = RestrictionParams(s=2.0, r=r, constant=None)
+            kept.append(restriction._report(ring, params, float(lhs), float(rhs), label))
+    best = tuple(max(kept, key=lambda report: report.ratio) for kept in reports)  # max keeps the first
+    ties = sum(sum(report.ratio == top.ratio for report in kept) - 1 for kept, top in zip(reports, best))
+    return best, ties
+
+
+def test_probe_picks_what_scoring_every_candidate_picks():
+    # the probe builds a report only for a new best; an eager reference that
+    # builds them all and keeps the first maximum picks the same reports
+    ties = 0
+    for n in range(2, 61):
+        ring = make_ring(n)
+        for seed in (0, 3):
+            want, tied = _eager_probe_best(ring, 40, seed)
+            assert sharpness_probe(ring, trials=40, seed=seed).best == want, (n, seed)
+            ties += tied
+            if (n, seed) == (11, 0):  # the full grid's stride box ties with a later one-cell draw
+                assert tied > 0 and want[0].witness_kind == "stride_box(d1=1,d2=1,a=0,b=0)"
+    assert ties > 0
 
 
 def test_probe_squarefree_stays_bounded():
