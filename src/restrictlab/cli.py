@@ -17,16 +17,15 @@ import os
 import sys
 import time
 from collections.abc import Sequence
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Any
 
 import numpy as np
 
 from . import __version__
 from .families import structured_coefficients, structured_values
-from .fourier import Signal2D, grid_to_json_dict, signal_from_json_dict
+from .fourier import grid_to_json_dict, signal_from_json_dict
 from .parabola import (
-    ParabolaSet,
     build_parabola,
     decay_bytes,
     decay_profile,
@@ -38,15 +37,13 @@ from .recovery import (
 )
 from .restriction import (
     RestrictionParams,
-    RestrictionReport,
     restriction_bytes,
     sharpness_probe,
     uncertainty_bytes,
     uncertainty_search,
     universal_certificate,
-    verify_dual,
-    verify_main_theorem,
-    verify_restriction,
+    verify_duals,
+    verify_signals,
     zone_edge,
 )
 from .rng import spawn_rng
@@ -148,7 +145,7 @@ def _resolve_moduli(args: argparse.Namespace) -> list[RingContext]:
 
 
 def _fmt_cell(value: Any) -> str:
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -243,14 +240,13 @@ def _cmd_decay(args: argparse.Namespace, rings: list[RingContext]) -> Report:
     return DECAY_COLUMNS, rows, False
 
 
-def _verify_reports(args: argparse.Namespace, rings: list[RingContext], family, check) -> Report:
-    """One row per labeled member of family(ring, trials, rng), scored by check."""
+def _verify_reports(args: argparse.Namespace, rings: list[RingContext], family, verify) -> Report:
+    """One row per labeled member of family(ring, trials, rng), in order, from verify(sigma, members)."""
     rows = []
     violated = False
     for ring in rings:
-        sigma = build_parabola(ring)
-        for label, member in family(ring, args.trials, spawn_rng(args.seed, ring.modulus)):
-            report = check(member, sigma, witness_kind=label)
+        members = family(ring, args.trials, spawn_rng(args.seed, ring.modulus))
+        for report in verify(build_parabola(ring), members):
             rows.append(_fields(report, VERIFY_COLUMNS))
             violated = violated or not report.satisfied
     return VERIFY_COLUMNS, rows, violated
@@ -258,20 +254,14 @@ def _verify_reports(args: argparse.Namespace, rings: list[RingContext], family, 
 
 def _cmd_restrict_verify(args: argparse.Namespace, rings: list[RingContext]) -> Report:
     _check_memory(args, rings, restriction_bytes)
+    # None scores the certified (2, 4/3) estimate
     params = None if args.r == "4/3" else RestrictionParams(s=2.0, r=6.0 / 5.0, constant=None)
-
-    def check(values: np.ndarray, sigma: ParabolaSet, witness_kind: str) -> RestrictionReport:
-        f = Signal2D(sigma.ring, values)
-        if params is None:
-            return verify_main_theorem(f, sigma, witness_kind=witness_kind)
-        return verify_restriction(f, sigma, params, witness_kind=witness_kind)
-
-    return _verify_reports(args, rings, structured_values, check)
+    return _verify_reports(args, rings, structured_values, partial(verify_signals, params=params))
 
 
 def _cmd_dual_verify(args: argparse.Namespace, rings: list[RingContext]) -> Report:
     _check_memory(args, rings, pair_sum_bytes)
-    return _verify_reports(args, rings, structured_coefficients, verify_dual)
+    return _verify_reports(args, rings, structured_coefficients, verify_duals)
 
 
 def _cmd_certificate(args: argparse.Namespace, rings: list[RingContext]) -> Report:

@@ -261,7 +261,12 @@ def _pair_sum_energy(n: int, rows: np.ndarray) -> np.ndarray:
     about _PAIR_CHUNK_BYTES of products, gathered into two buffers that the
     chunks share, so fresh pages are touched once per call, not per chunk.
     Each row's sums run in a fixed order (slot by slot within a class, then
-    over the size groups), so a row has the same bits in every batch.
+    over the size groups), so a row has the same bits in every batch, but
+    for two of numpy's loops: einsum sums a row of more than its 8,192
+    buffered values in buffer-sized pieces inside a batch and in one pass
+    alone (a class group of over 4,096 classes, first at N = 97), and a
+    product of one complex pair skips the fused multiply-add of the vector
+    loop (N = 2).  There a row can move by an ulp with the batch.
     """
     groups = _pair_classes(n)
     step = max(1, _PAIR_CHUNK_BYTES // (8 * n * (n + 1)))  # 16 bytes per unordered pair

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -118,30 +118,35 @@ def _roots(sums: list[float], e: float) -> np.ndarray:
     return np.fromiter(map(pow, sums, itertools.repeat(1.0 / e)), float, len(sums))
 
 
-def _power_sums(values: np.ndarray, r: float) -> np.ndarray:
-    """sum |v|^r over the last two axes, paying the power only on nonzero cells.
+def _power_sums(values: np.ndarray, *rs: float) -> list[np.ndarray]:
+    """sum |v|^r over the last two axes for each r, paying the power only on nonzero cells.
 
-    Equal bit for bit to (np.abs(values) ** r).sum(axis=(-2, -1)): pow(0, r)
-    is +0.0 and the power is taken value by value, so the array summed holds
-    the same values in the same layout, and the pairwise sum runs over
-    identical data.  Without a zero cell it is that dense expression.
+    Each is equal bit for bit to (np.abs(values) ** r).sum(axis=(-2, -1)):
+    pow(0, r) is +0.0 and the power is taken value by value, so the array
+    summed holds the same values in the same layout, and the pairwise sum
+    runs over identical data.  Without a zero cell it is that dense
+    expression.  |v|, the zero mask and the nonzero cells are taken once for
+    all the exponents, and the zero array is refilled for each.
     """
     a = np.abs(values)
     nonzero = a != 0
     if nonzero.all():
-        return (a**r).sum(axis=(-2, -1))
+        return [(a**r).sum(axis=(-2, -1)) for r in rs]
+    cells = a[nonzero]
     powered = np.zeros_like(a)
-    powered[nonzero] = a[nonzero] ** r
-    return powered.sum(axis=(-2, -1))
+    sums = []
+    for r in rs:
+        powered[nonzero] = cells**r
+        sums.append(powered.sum(axis=(-2, -1)))
+    return sums
 
 
-def _signal_norm(values: np.ndarray, r: float, n: int) -> np.ndarray:
-    # N^(-d/2) times the counting L^r norm over the last two axes
-    sums = _power_sums(values, r)
-    return _roots(sums.reshape(-1).tolist(), r).reshape(sums.shape) / n
+_GRID_CHUNK_BYTES = 1 << 20  # complex grids per scoring chunk: restriction_quantities peaks near 2 MB
 
 
-_GRID_CHUNK_BYTES = 1 << 20  # complex grids per restriction_quantities chunk: a call peaks near 2 MB
+def _chunk_grids(n: int) -> int:
+    """Grids of one scoring chunk at modulus N: about _GRID_CHUNK_BYTES of them, at least one."""
+    return max(1, _GRID_CHUNK_BYTES // (16 * n * n))
 
 
 def restriction_quantities(
@@ -150,22 +155,26 @@ def restriction_quantities(
     sigma: ParabolaSet | None = None,
     s: float = 2.0,
     r: float = 4.0 / 3.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(lhs, rhs) arrays for one or a batch (..., N, N) of signal grids.
+    *more_r: float,
+) -> tuple[np.ndarray, ...]:
+    """(lhs, rhs) arrays for one or a batch (..., N, N) of signal grids; one more rhs per exponent in more_r.
 
     lhs is the averaged L^s norm of the transform on the parabola; rhs is
     N^(-d/2) times the counting L^r norm of the signal, constant excluded.
-    Both exponents must be at least 1.
+    Every exponent must be at least 1.  The rhs of every exponent reads one
+    |f| and one zero mask (_power_sums) and equals, bit for bit, the rhs of
+    a call with that exponent alone.
 
     The grids are flattened to (B, N, N), a lone grid to (1, N, N), and run
-    in consecutive chunks of whole grids, about _GRID_CHUNK_BYTES of complex
-    grids each and at least one grid, so the transform's temporaries stay a
-    few chunks in size whatever B is.  Each grid's transform is its own
-    matrix product, each sum runs pairwise along one grid's contiguous
-    values, and the roots are taken value by value, so a grid gets the same
-    bits alone, in any batch and at any chunk size.
+    in consecutive chunks of _chunk_grids(N) whole grids, so the transform's
+    temporaries stay a few chunks in size whatever B is.  Each grid's
+    transform is its own matrix product, each sum runs pairwise along one
+    grid's contiguous values, and the roots are taken value by value, so a
+    grid gets the same bits alone, in any batch and at any chunk size.
     """
-    _check_exponents(s=s, r=r)
+    rs = (r, *more_r)
+    for e in rs:
+        _check_exponents(s=s, r=e)
     n = ring.modulus
     sigma = _parabola_over(ring, sigma)
     values = np.asarray(values)
@@ -173,29 +182,62 @@ def restriction_quantities(
         raise ValueError(f"expected trailing axes ({n}, {n}), got shape {values.shape}")
     grids = values.reshape(-1, n, n)
     means: list[float] = []
-    sums: list[float] = []
-    step = max(1, _GRID_CHUNK_BYTES // (16 * n * n))
+    sums: list[list[float]] = [[] for _ in rs]
+    step = _chunk_grids(n)
     for i in range(0, len(grids), step):
         chunk = grids[i : i + step]
         # a C-contiguous (B, N) copy, so that each row sums pairwise, as a lone grid's mean does
         on_parab = np.ascontiguousarray(dft_array(n, chunk)[:, sigma.rows, sigma.cols])
         means += ((np.abs(on_parab) ** s).sum(axis=-1) / n).tolist()
-        sums += _power_sums(chunk, r).tolist()
+        for kept, chunk_sums in zip(sums, _power_sums(chunk, *rs)):
+            kept += chunk_sums.tolist()
     shape = values.shape[:-2]
-    return _roots(means, s).reshape(shape), (_roots(sums, r) / n).reshape(shape)
+    return _roots(means, s).reshape(shape), *((_roots(kept, e) / n).reshape(shape) for kept, e in zip(sums, rs))
+
+
+def _labeled_chunks(
+    labeled: Iterable[tuple[str, np.ndarray]], step: int, shape: tuple[int, ...]
+) -> Iterator[tuple[list[str], np.ndarray]]:
+    """(labels, stack) for consecutive chunks of step labeled complex arrays of one shape, in their order.
+
+    Every chunk is written into one reused (step, *shape) buffer, the last
+    chunk into its leading rows, so a chunk is valid only until the next
+    one is drawn.  ValueError for an array of another shape.
+    """
+    buf = np.empty((step, *shape), dtype=np.complex128)
+    labels: list[str] = []
+    for label, member in labeled:
+        if np.shape(member) != shape:
+            raise ValueError(f"expected shape {shape}, got {np.shape(member)} for {label!r}")
+        buf[len(labels)] = member
+        labels.append(label)
+        if len(labels) == step:
+            yield labels, buf
+            labels = []
+    if labels:
+        yield labels, buf[: len(labels)]
+
+
+def _check_finite(chunk: np.ndarray) -> None:
+    if not np.all(np.isfinite(chunk.view(np.float64))):
+        raise ValueError("values must be finite")
 
 
 def restriction_bytes(ring: RingContext) -> int:
-    """Peak bytes of scoring test signals one at a time at modulus N (restrict-verify, sharpness).
+    """Peak bytes of scoring test signals a chunk at a time at modulus N (restrict-verify, sharpness).
 
-    8 complex (N, N) grids of 16 N^2 bytes: W and conj(W), the signal and
-    its Signal2D copy, the transform's two products, and the rhs's buffers
-    with a family's index arrays.  _power_sums holds |f| (8 N^2), its mask
-    (N^2) and, when a cell is zero, the zero array (8 N^2) and the nonzero
-    cells' gathered values and their powers (under 8 N^2 each); the
-    transform's products are freed before it runs.
+    With B = _chunk_grids(N) and a grid of 16 N^2 bytes: the chunk buffer
+    and the transform's two products (3 B grids); the grid being built, W
+    and conj(W), and a family's index arrays (5 grids); and each chunk
+    grid's label and floats (under 256 bytes a grid).  _power_sums holds
+    |f| (8 N^2 a grid), its mask (N^2), the zero array, and the nonzero
+    cells' values and their powers (under 8 N^2 each): under two grids a
+    grid, after the transform's products are freed.  From N = 182 on a
+    chunk is one grid, and this is 8 grids and 256 bytes.
     """
-    return 8 * 16 * ring.modulus**2
+    n = ring.modulus
+    b = _chunk_grids(n)
+    return 16 * n * n * (3 * b + 5) + 256 * b
 
 
 def _report(
@@ -241,6 +283,30 @@ def verify_main_theorem(
     """Check the certified (s, r) = (2, 4/3) estimate; squarefree moduli only."""
     params = RestrictionParams(s=2.0, r=4.0 / 3.0, constant=certified_constant(f.ring))
     return verify_restriction(f, sigma, params, witness_kind)
+
+
+def verify_signals(
+    sigma: ParabolaSet,
+    labeled: Iterable[tuple[str, np.ndarray]],
+    params: RestrictionParams | None = None,
+) -> Iterator[RestrictionReport]:
+    """The report of each labeled (N, N) signal grid, in order, scored a chunk of grids at a time.
+
+    Each report equals verify_restriction(Signal2D(ring, grid), sigma,
+    params, label) bit for bit, or verify_main_theorem's when params is
+    None; restriction_quantities gives a grid the same bits in any chunk.
+    The grids are copied into one reused chunk of _chunk_grids(N), so the
+    iterable may yield each from a buffer it reuses.
+    """
+    ring = sigma.ring
+    if params is None:
+        params = RestrictionParams(s=2.0, r=4.0 / 3.0, constant=certified_constant(ring))
+    n = ring.modulus
+    for labels, grids in _labeled_chunks(labeled, _chunk_grids(n), (n, n)):
+        _check_finite(grids)
+        lhs, rhs = restriction_quantities(ring, grids, sigma, params.s, params.r)
+        for label, lhs_i, rhs_i in zip(labels, lhs.tolist(), rhs.tolist()):
+            yield _report(ring, params, lhs_i, rhs_i, label)
 
 
 @dataclass(frozen=True)
@@ -298,7 +364,8 @@ def _extension_norms(
     and max_rep <= 2^omega on squarefree N: the L^4 bound made visible.
     Every other exponent (1, for verify_l1_l2) reads the grid from
     parabola._extension_kernel.  Each row's sums run in a fixed order, so a
-    single row gets the same bits as that row inside a batch.
+    single row gets the same bits as that row inside a batch, except where
+    _pair_sum_energy's rows move with the batch (its docstring).
     """
     sigma = _parabola_over(ring, sigma)
     n = ring.modulus
@@ -346,6 +413,27 @@ def verify_dual(
     """
     params = RestrictionParams(s=4.0, r=2.0, constant=certified_constant(sigma.ring))
     return _verify_extension(coefficients, sigma, params, witness_kind)
+
+
+def verify_duals(
+    sigma: ParabolaSet, labeled: Iterable[tuple[str, Sequence[complex] | np.ndarray]]
+) -> Iterator[RestrictionReport]:
+    """verify_dual's report of each labeled coefficient vector, in order, scored a chunk of rows at a time.
+
+    A chunk holds _GRID_CHUNK_BYTES of (N,) rows, and _pair_sum_energy runs
+    its own chunks of rows below that.  A report equals verify_dual's on its
+    vector alone bit for bit wherever _extension_norms gives a row the same
+    bits in any batch: not at N = 2, nor where a class group of the pair
+    sums passes 4,096 classes (N = 97 and some moduli above).
+    """
+    ring = sigma.ring
+    params = RestrictionParams(s=4.0, r=2.0, constant=certified_constant(ring))
+    n = ring.modulus
+    for labels, rows in _labeled_chunks(labeled, max(1, _GRID_CHUNK_BYTES // (16 * n)), (n,)):
+        _check_finite(rows)
+        lhs, rhs = _extension_norms(ring, rows, sigma, params.s, params.r)
+        for label, lhs_i, rhs_i in zip(labels, lhs.tolist(), rhs.tolist()):
+            yield _report(ring, params, lhs_i, rhs_i, label)
 
 
 def dual_ratios(ring: RingContext, coefficients: np.ndarray, sigma: ParabolaSet | None = None) -> np.ndarray:
@@ -795,10 +883,14 @@ def sharpness_probe(ring: RingContext, *, trials: int = 200, seed: int = 0) -> P
     d2^2 | N (d = 1 included, so lines and the full grid appear), plus random
     sparse indicators.  A translate {a + d1*i} x {b + d2*j} multiplies the
     transform by a unimodular character and permutes |f|, so it has the same
-    ratio and only the box at the origin is scored.  Each candidate is scored
-    at r = 4/3 and r = 6/5 as it is built, and a report is built only when
-    its ratio beats the best so far at that exponent (strictly, so the first
-    of equal ratios is kept); memory does not grow with the candidate count,
+    ratio and only the box at the origin is scored.  The candidates are
+    written, in the order they are built, into one reused chunk of
+    _chunk_grids(N) grids, and each chunk is scored at r = 4/3 and r = 6/5
+    by one restriction_quantities call: one transform per candidate for both
+    exponents, and the bits each candidate gets alone.  The picks then run
+    in candidate order, and a report is built only when a ratio beats the
+    best so far at that exponent (strictly, so the first of equal ratios is
+    kept, across chunks too); memory does not grow with the candidate count,
     and scoring draws nothing from the generator.
     trials must be >= 0.
     """
@@ -806,12 +898,13 @@ def sharpness_probe(ring: RingContext, *, trials: int = 200, seed: int = 0) -> P
         raise ValueError(f"trials must be >= 0, got {trials}")
     sigma = build_parabola(ring)
     n = ring.modulus
+    exponents = (4.0 / 3.0, 6.0 / 5.0)
     best: list[RestrictionReport | None] = [None, None]
-    for label, vals in _probe_candidates(ring, trials, seed):
-        # the lhs does not depend on r, so each candidate is transformed once
-        lhs, rhs_43 = map(float, restriction_quantities(ring, vals, sigma, 2.0, 4.0 / 3.0))
-        rhs_65 = float(_signal_norm(vals, 6.0 / 5.0, n))
-        for i, (r, rhs) in enumerate(((4.0 / 3.0, rhs_43), (6.0 / 5.0, rhs_65))):
-            if best[i] is None or _ratio(lhs, rhs) > best[i].ratio:
-                best[i] = _report(ring, RestrictionParams(s=2.0, r=r, constant=None), lhs, rhs, label)
+    for labels, grids in _labeled_chunks(_probe_candidates(ring, trials, seed), _chunk_grids(n), (n, n)):
+        lhs, *rhs = restriction_quantities(ring, grids, sigma, 2.0, *exponents)
+        lhs = lhs.tolist()
+        for i, r in enumerate(exponents):
+            for label, lhs_j, rhs_j in zip(labels, lhs, rhs[i].tolist()):
+                if best[i] is None or _ratio(lhs_j, rhs_j) > best[i].ratio:
+                    best[i] = _report(ring, RestrictionParams(s=2.0, r=r, constant=None), lhs_j, rhs_j, label)
     return ProbeResult(n=n, omega=ring.omega, squarefree=ring.squarefree, best=(best[0], best[1]))

@@ -7,10 +7,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from restrictlab import cli, fourier, parabola
+from restrictlab import cli, fourier, parabola, restriction
 from restrictlab.cli import main
+from restrictlab.families import structured_coefficients, structured_values
 from restrictlab.fourier import Signal2D, _dft_matrix, _idft_matrix, signal_to_json
-from restrictlab.parabola import _pair_classes
+from restrictlab.parabola import _pair_classes, build_parabola
+from restrictlab.restriction import RestrictionParams, verify_dual, verify_main_theorem, verify_restriction
 from restrictlab.rng import spawn_rng
 from restrictlab.zmod import make_ring
 
@@ -329,17 +331,19 @@ def test_scoring_search_and_certificate_memory_budget(tmp_path, capsys, monkeypa
         assert main(["certificate", "--n", "10007", "999999999989", "--output", out]) == 0
         _, rows = rows_of(tmp_path / "x.csv")
         assert rows == [["10007", "1", *certified], ["999999999989", "1", *certified]]
-    assert cli.restriction_bytes(make_ring(3001)) == 8 * 16 * 3001**2
+    assert cli.restriction_bytes(make_ring(3001)) == 8 * 16 * 3001**2 + 256  # a chunk of one grid
     assert main(["uncertainty", "--n", "15", "--max-support", str(10**9), "--output", out]) == 2
     assert "max_support" in capsys.readouterr().err  # the zone check, not the budget
     # every benchmark and battery modulus (N <= 105) is far under the budget
     assert cli.restriction_bytes(make_ring(105)) < cli.MEMORY_BUDGET // 100
     assert cli.uncertainty_bytes(make_ring(105), 1377) < cli.MEMORY_BUDGET // 10
+    # up to N = 181 a scoring chunk holds about 1 MB of grids, so the
+    # estimate grows little with N there; at N = 61 and 64 it passes N = 15's
     monkeypatch.setattr(cli, "MEMORY_BUDGET", cli.restriction_bytes(make_ring(15)))
     assert main(["restrict-verify", "--n", "15", "--trials", "3", "--output", out]) == 0
     assert main(["sharpness", "--n", "15", "--trials", "3", "--output", out]) == 0
-    assert main(["restrict-verify", "--n", "21", "--trials", "3", "--output", out]) == 2
-    assert main(["sharpness", "--n", "16", "--trials", "3", "--output", out]) == 2
+    assert main(["restrict-verify", "--n", "61", "--trials", "3", "--output", out]) == 2
+    assert main(["sharpness", "--n", "64", "--trials", "3", "--output", out]) == 2
     monkeypatch.setattr(cli, "MEMORY_BUDGET", cli.uncertainty_bytes(make_ring(15), 4))
     assert main(["uncertainty", "--n", "15", "--max-support", "4", "--trials", "50", "--output", out]) == 0
     assert main(["uncertainty", "--n", "21", "--max-support", "4", "--trials", "50", "--output", out]) == 2
@@ -574,6 +578,60 @@ def test_csv_rerun_identical_up_to_walltime(tmp_path):
     assert main(args + ["--output", str(a)]) == 0
     assert main(args + ["--output", str(b)]) == 0
     assert normalized(a) == normalized(b)
+
+
+def _one_member_at_a_time(argv, n, seed):
+    # the report of a verify command, each row from the single-member check on that member alone
+    args = cli.build_parser().parse_args(argv)
+    ring = make_ring(n)
+    sigma = build_parabola(ring)
+    rng = spawn_rng(seed, n)
+    if args.command == "dual-verify":
+        members = structured_coefficients(ring, args.trials, rng)
+        reports = [verify_dual(c, sigma, witness_kind=label) for label, c in members]
+    else:
+        params = RestrictionParams(s=2.0, r=6.0 / 5.0, constant=None)
+        reports = [
+            verify_main_theorem(Signal2D(ring, v), sigma, witness_kind=label)
+            if args.r == "4/3"
+            else verify_restriction(Signal2D(ring, v), sigma, params, witness_kind=label)
+            for label, v in structured_values(ring, args.trials, rng)
+        ]
+    rows = [cli._fields(report, cli.VERIFY_COLUMNS) for report in reports]
+    return WALLTIME.sub("walltime_s=X", cli._render(args, cli.VERIFY_COLUMNS, rows, 0.0))
+
+
+@pytest.mark.parametrize("n", [6, 10, 15, 35, 105])
+def test_chunked_verify_rows_equal_one_member_at_a_time(tmp_path, monkeypatch, n):
+    # restrict-verify (at 4/3 and 6/5) and dual-verify score their members a
+    # chunk at a time; each report, CSV and JSON, equals byte for byte the one
+    # built from verify_main_theorem, verify_restriction or verify_dual on
+    # each member alone.  22 members at the default chunk (5 grids at
+    # N = 105) and at chunks of 3 grids (3 N coefficient rows) leave a
+    # partial last chunk.
+    out = tmp_path / "x.txt"
+    commands = (["restrict-verify"], ["restrict-verify", "--r", "6/5"], ["dual-verify"])
+    for grids in (None, 3):
+        if grids is not None:
+            monkeypatch.setattr(restriction, "_GRID_CHUNK_BYTES", grids * 16 * n * n)
+        for command in commands:
+            for fmt in ("csv", "json"):
+                argv = command + ["--n", str(n), "--trials", "22", "--seed", "5", "--format", fmt]
+                assert main(argv + ["--output", str(out)]) == 0
+                assert normalized(out) == _one_member_at_a_time(argv, n, 5), (grids, argv)
+
+
+def test_numpy_bools_format_as_python_bools():
+    # a satisfied cell from a numpy comparison writes what a Python bool writes
+    args = cli.build_parser().parse_args(["certificate", "--n", "6"])
+    for value in (True, False):
+        numpy_value = np.float64(0.5) <= (1.0 if value else 0.25)
+        assert type(numpy_value) is np.bool_ and cli._fmt_cell(numpy_value) == cli._fmt_cell(value)
+        for fmt in ("csv", "json"):
+            args.format = fmt
+            texts = [WALLTIME.sub("", cli._render(args, ("satisfied",), [[v]], 0.0)) for v in (numpy_value, value)]
+            assert texts[0] == texts[1]
+    assert [cli._fmt_cell(v) for v in (np.bool_(True), np.bool_(False))] == ["true", "false"]
 
 
 def test_json_rerun_identical_bytes(tmp_path):

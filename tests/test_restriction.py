@@ -26,9 +26,11 @@ from restrictlab.restriction import (
     uncertainty_search,
     universal_certificate,
     verify_dual,
+    verify_duals,
     verify_l1_l2,
     verify_main_theorem,
     verify_restriction,
+    verify_signals,
     zone_edge,
 )
 from restrictlab import restriction
@@ -49,7 +51,6 @@ from restrictlab.restriction import (
     _random_supports,
     _scan_chunk,
     _scan_plan,
-    _signal_norm,
     _top_eigenvalue,
 )
 from restrictlab.rng import spawn_rng
@@ -406,9 +407,10 @@ def test_single_grid_quantities_keep_the_lone_grid_reductions(n):
 
 @pytest.mark.parametrize("n", [7, 12, 25, 35, 51])
 def test_each_batch_row_equals_its_grid_scored_alone(n):
-    # Gaussian and structured grids in one batch: every row's lhs and rhs,
-    # and _signal_norm's, equal those of the grid scored alone, bit for bit,
-    # and the dense expressions on that grid, zero cells included
+    # Gaussian and structured grids in one batch: every row's lhs and rhs
+    # equal those of the grid scored alone, bit for bit, and the dense
+    # expressions on that grid, zero cells included; so does the rhs of a
+    # second exponent scored in the same call
     ring = make_ring(n)
     sigma = build_parabola(ring)
     rng = spawn_rng(45, n)
@@ -419,10 +421,11 @@ def test_each_batch_row_equals_its_grid_scored_alone(n):
         lhs, rhs = restriction_quantities(ring, batch, sigma, s, r)
         alone = [restriction_quantities(ring, grid, sigma, s, r) for grid in grids]
         assert np.array_equal(np.stack([lhs, rhs], axis=1), alone), (s, r)
-        assert np.array_equal(_signal_norm(batch, r, n), [_signal_norm(grid, r, n) for grid in grids])
         want = [_unchunked_quantities(n, grid, sigma, s, r) for grid in grids]
         assert np.array_equal(alone, want), (s, r)
-        assert np.array_equal(_signal_norm(batch, r, n), [rhs for _, rhs in want]), (s, r)
+        both = restriction_quantities(ring, batch, sigma, s, 1.5, r)
+        assert np.array_equal(both[0], lhs) and np.array_equal(both[2], rhs), (s, r)
+        assert np.array_equal(both[1], [_unchunked_quantities(n, grid, sigma, s, 1.5)[1] for grid in grids]), (s, r)
 
 
 def _edge_grids(n):
@@ -444,17 +447,21 @@ def _edge_grids(n):
 @pytest.mark.parametrize("n", [2, 7, 12, 35, 105])
 def test_power_sums_skip_zero_cells_bit_for_bit(n):
     # the power paid only on nonzero cells sums to the dense expression's
-    # bits, for a lone grid and as rows of a batch
+    # bits, for a lone grid and as rows of a batch, and so does each
+    # exponent of a call that takes |v| once for all five
     ring = make_ring(n)
     grids = [vals for _, vals in structured_values(ring, 14, spawn_rng(48, n))]  # each kind twice
     grids += _edge_grids(n)
     assert {bool(np.all(grid)) for grid in grids} == {True, False}  # both paths run
     batch = np.stack(grids)
-    for r in (1.0, 6.0 / 5.0, 4.0 / 3.0, 3.0 / 2.0, 2.0):
-        for grid in grids:
+    exponents = (1.0, 6.0 / 5.0, 4.0 / 3.0, 3.0 / 2.0, 2.0)
+    for grid in grids:
+        for r, sums in zip(exponents, _power_sums(grid, *exponents)):
             want = (np.abs(grid) ** r).sum(axis=(-2, -1))
-            assert np.array_equal(_power_sums(grid, r), want), r
-        assert np.array_equal(_power_sums(batch, r), (np.abs(batch) ** r).sum(axis=(-2, -1))), r
+            assert np.array_equal(_power_sums(grid, r)[0], want) and np.array_equal(sums, want), r
+    for r, sums in zip(exponents, _power_sums(batch, *exponents)):
+        want = (np.abs(batch) ** r).sum(axis=(-2, -1))
+        assert np.array_equal(_power_sums(batch, r)[0], want) and np.array_equal(sums, want), r
 
 
 @pytest.mark.parametrize("n, batch", [(35, 200), (35, 1000), (105, 60)])
@@ -516,6 +523,17 @@ def test_extension_wrappers_check_coefficients():
                 check(coeffs, sigma)
     with pytest.raises(ValueError):
         verify_l1_l2(np.ones(4), build_parabola(make_ring(4)))
+    # the chunked checks refuse what the single-member ones refuse, the gate included
+    grid = np.ones((15, 15))
+    for coeffs in bad:
+        with pytest.raises(ValueError):
+            list(verify_duals(sigma, [("ok", np.ones(15)), ("bad", coeffs)]))
+    for values in (np.ones(225), np.ones((1, 15, 15)), np.full((15, 15), np.inf)):
+        with pytest.raises(ValueError):
+            list(verify_signals(sigma, [("ok", grid), ("bad", values)]))
+    for check in (verify_duals, verify_signals):
+        with pytest.raises(ValueError, match="squarefree"):
+            list(check(build_parabola(make_ring(4)), []))
 
 
 @pytest.mark.parametrize("n", [5, 6, 15, 35])
@@ -975,16 +993,21 @@ def _probe_peak(ring, trials):
 
 
 def test_probe_memory_does_not_grow_with_trials():
-    # only the best report at each exponent is kept, not one per candidate
+    # only one chunk of candidates and the best report at each exponent are
+    # kept: at N = 9 a chunk holds 809 grids, so 2,000 trials fill 3 chunks
+    # and 20,000 fill 25, within a few grids of the same peak
     ring = make_ring(9)
+    assert restriction._chunk_grids(9) == 809
     sharpness_probe(ring, trials=2)
-    assert _probe_peak(ring, 2000) <= _probe_peak(ring, 20) + 3 * 16 * 9 * 9
+    assert _probe_peak(ring, 20_000) <= _probe_peak(ring, 2_000) + 3 * 16 * 9 * 9
 
 
-def test_probe_scores_each_candidate_as_it_is_built():
-    # 4 stride boxes and 200 draws at N = 49; all 204 grids together take
-    # 204 * 16 N^2 bytes, the streamed probe a few grids
+def test_probe_holds_one_chunk_of_candidates():
+    # 4 stride boxes and 200 draws at N = 49 fill 8 chunks of 27 grids; all
+    # 204 grids together take 204 * 16 N^2 bytes, the probe one chunk and
+    # what scores it, within restriction_bytes
     ring = make_ring(49)
+    assert restriction._chunk_grids(49) == 27
     sharpness_probe(ring, trials=2)
     tracemalloc.start()
     probe = sharpness_probe(ring, trials=200, seed=0)
@@ -992,22 +1015,32 @@ def test_probe_scores_each_candidate_as_it_is_built():
     tracemalloc.stop()
     assert [report.r for report in probe.best] == [4.0 / 3.0, 6.0 / 5.0]
     assert all(report.constant is None for report in probe.best)
-    assert peak < 20 * 16 * 49 * 49
+    assert peak <= restriction.restriction_bytes(ring) < 204 * 16 * 49 * 49
 
 
-def _eager_probe_best(ring, trials, seed):
-    # every candidate's report at both exponents, then the first largest ratio of each
+def _eager_probe(ring, trials, seed):
+    # every candidate's report at both exponents, one candidate at a time, in candidate order
     sigma = build_parabola(ring)
-    n = ring.modulus
     reports = ([], [])
     for label, vals in restriction._probe_candidates(ring, trials, seed):
         lhs, rhs_43 = restriction_quantities(ring, vals, sigma, 2.0, 4.0 / 3.0)
-        for kept, r, rhs in zip(reports, (4.0 / 3.0, 6.0 / 5.0), (rhs_43, _signal_norm(vals, 6.0 / 5.0, n))):
+        rhs_65 = restriction_quantities(ring, vals, sigma, 2.0, 6.0 / 5.0)[1]
+        for kept, r, rhs in zip(reports, (4.0 / 3.0, 6.0 / 5.0), (rhs_43, rhs_65)):
             params = RestrictionParams(s=2.0, r=r, constant=None)
             kept.append(restriction._report(ring, params, float(lhs), float(rhs), label))
+    return reports
+
+
+def _first_maxima(reports):
+    # the first largest ratio at each exponent, and the later candidates that tie with it
     best = tuple(max(kept, key=lambda report: report.ratio) for kept in reports)  # max keeps the first
-    ties = sum(sum(report.ratio == top.ratio for report in kept) - 1 for kept, top in zip(reports, best))
-    return best, ties
+    tied = [[i for i, report in enumerate(kept) if report.ratio == top.ratio][1:] for kept, top in zip(reports, best)]
+    return best, [kept.index(top) for kept, top in zip(reports, best)], tied
+
+
+def _eager_probe_best(ring, trials, seed):
+    best, _, tied = _first_maxima(_eager_probe(ring, trials, seed))
+    return best, sum(map(len, tied))
 
 
 def test_probe_picks_what_scoring_every_candidate_picks():
@@ -1023,6 +1056,22 @@ def test_probe_picks_what_scoring_every_candidate_picks():
             if (n, seed) == (11, 0):  # the full grid's stride box ties with a later one-cell draw
                 assert tied > 0 and want[0].witness_kind == "stride_box(d1=1,d2=1,a=0,b=0)"
     assert ties > 0
+
+
+def test_probe_pick_does_not_depend_on_the_chunk_size(monkeypatch):
+    # with chunks of 1 and of 3 grids the probe still picks the eager
+    # reference's first maximum, also where a later tie sits in another chunk
+    straddled = {1: 0, 3: 0}
+    for n in range(2, 31):
+        ring = make_ring(n)
+        for seed in (0, 3):
+            want, first, tied = _first_maxima(_eager_probe(ring, 24, seed))
+            for grids in (1, 3):
+                monkeypatch.setattr(restriction, "_GRID_CHUNK_BYTES", grids * 16 * n * n)
+                assert restriction._chunk_grids(n) == grids
+                assert sharpness_probe(ring, trials=24, seed=seed).best == want, (n, seed, grids)
+                straddled[grids] += sum(i // grids != f // grids for f, later in zip(first, tied) for i in later)
+    assert straddled[1] > 0 and straddled[3] > 0
 
 
 def test_probe_squarefree_stays_bounded():
