@@ -8,6 +8,7 @@ factorization of N; a subset's are counted from its pair sums.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
@@ -148,21 +149,27 @@ def decay_profile(sigma: ParabolaSet) -> DecayProfile:
     )
 
 
+def _subset_index(item, n: int) -> int:
+    """The t of one subset item: an integer index, or a point (t, t^2) of exactly two integers; ValueError otherwise."""
+    try:
+        return operator.index(item) % n
+    except TypeError:
+        pass
+    try:
+        a, b = (operator.index(x) % n for x in item)
+    except (TypeError, ValueError):
+        raise ValueError(f"a subset item is an integer index or a point of two integers, got {item!r}") from None
+    if (b - a * a) % n != 0:
+        raise ValueError(f"point ({a}, {b}) is not on the parabola mod {n}")
+    return a
+
+
 def _subset_indices(sigma: ParabolaSet, subset: Iterable) -> np.ndarray:
     """Normalize a subset given as t-indices or as points to sorted t-indices."""
     n = sigma.ring.modulus
-    items = list(subset)
-    if not items:
+    ts = {_subset_index(item, n) for item in subset}
+    if not ts:
         raise ValueError("subset must be nonempty")
-    ts: set[int] = set()
-    for item in items:
-        if isinstance(item, tuple) or (isinstance(item, (list, np.ndarray)) and len(item) == 2):
-            a, b = int(item[0]) % n, int(item[1]) % n
-            if (b - a * a) % n != 0:
-                raise ValueError(f"point ({a}, {b}) is not on the parabola mod {n}")
-            ts.add(a)
-        else:
-            ts.add(int(item) % n)
     return np.array(sorted(ts), dtype=np.intp)
 
 
@@ -213,7 +220,12 @@ def _prime_power_energy(p: int, k: int) -> tuple[int, int]:
     return q * ((k + 1) * q - k * (q // p)), half if k % 2 == 0 else 2 * half
 
 
-_PAIR_CHUNK_BYTES = 1 << 20  # bytes of pair products per chunk of rows; small chunks stay in cache
+_PIECE_BYTES = 1 << 20  # one piece of a batch (grids or rows scored together, Gram slices, pair products); small pieces stay in cache
+
+
+def _items_per_piece(item_bytes: int) -> int:
+    """Items of item_bytes each in one piece: about _PIECE_BYTES of them, at least one."""
+    return max(1, _PIECE_BYTES // item_bytes)
 
 
 @lru_cache(maxsize=1)  # one modulus at a time, like the DFT matrices
@@ -257,19 +269,20 @@ def _pair_sum_energy(n: int, rows: np.ndarray) -> np.ndarray:
 
     The sum runs over ordered pairs (t, t') of parabola points p_t = (t, t^2),
     so the constant row c = 1 gives b_m = r(m), the pair-sum multiplicity,
-    and the additive energy E(Sigma) = sum_m r(m)^2.  Rows go in chunks of
-    about _PAIR_CHUNK_BYTES of products, gathered into two buffers that the
-    chunks share, so fresh pages are touched once per call, not per chunk.
-    Each row's sums run in a fixed order (slot by slot within a class, then
-    over the size groups), so a row has the same bits in every batch, but
-    for two of numpy's loops: einsum sums a row of more than its 8,192
-    buffered values in buffer-sized pieces inside a batch and in one pass
-    alone (a class group of over 4,096 classes, first at N = 97), and a
-    product of one complex pair skips the fused multiply-add of the vector
-    loop (N = 2).  There a row can move by an ulp with the batch.
+    and the additive energy E(Sigma) = sum_m r(m)^2.  Rows go in pieces of
+    _items_per_piece products (16 bytes per unordered pair), gathered into
+    two buffers that the pieces share, so fresh pages are touched once per
+    call, not per piece.  Each row's sums run in a fixed order (slot by slot
+    within a class, then over the size groups), so a row has the same bits
+    in every batch.  einsum sums a batch row of more than np.getbufsize()
+    values in buffer-sized pieces but a lone row in one pass, so a group of
+    more classes than half that (N = 97 and some moduli above) is summed a
+    row at a time, each row as a lone row is.  The one exception is N = 2,
+    where the product of one complex pair skips the fused multiply-add of
+    the vector loop, and a row can move by an ulp with the batch.
     """
     groups = _pair_classes(n)
-    step = max(1, _PAIR_CHUNK_BYTES // (8 * n * (n + 1)))  # 16 bytes per unordered pair
+    step = _items_per_piece(8 * n * (n + 1))
     size = min(step, rows.shape[0]) * max(left.size for left, _ in groups)
     prod_buf, gather_buf = np.empty(size, dtype=np.complex128), np.empty(size, dtype=np.complex128)
     out = np.empty(rows.shape[0])
@@ -290,23 +303,26 @@ def _pair_sum_energy(n: int, rows: np.ndarray) -> np.ndarray:
             for j in range(1, left.shape[0]):
                 b += prod[:, j]
             flat = b.view(np.float64)
-            total = total + np.einsum("ij,ij->i", flat, flat)
+            if flat.shape[1] > np.getbufsize():
+                total = total + np.concatenate([np.einsum("ij,ij->i", row, row) for row in np.split(flat, len(flat))])
+            else:
+                total = total + np.einsum("ij,ij->i", flat, flat)
         out[i : i + step] = total
     return out
 
 
 def pair_sum_bytes(ring: RingContext) -> int:
-    """Peak bytes the pair-sum norms allocate at modulus N, for one chunk of rows.
+    """Peak bytes the pair-sum norms allocate at modulus N, for one piece of rows.
 
     Building the class tables peaks at seven int64 arrays over the
     P = N(N+1)/2 unordered pairs (56 P).  The rows then share two gather
-    buffers of one chunk, twice _PAIR_CHUNK_BYTES (32 P for a single row
-    wider than that), and a chunk holds a few arrays of N per row; the
-    estimate allows three times _PAIR_CHUNK_BYTES.
+    buffers of one piece, twice _PIECE_BYTES (32 P for a single row wider
+    than that), and a piece holds a few arrays of N per row; the estimate
+    allows three times _PIECE_BYTES.
     """
     n = ring.modulus
     pairs = n * (n + 1) // 2
-    return 56 * pairs + 3 * max(_PAIR_CHUNK_BYTES, 16 * pairs)
+    return 56 * pairs + 3 * max(_PIECE_BYTES, 16 * pairs)
 
 
 def energy_exact(sigma: ParabolaSet, subset: Iterable | None = None) -> EnergyReport:

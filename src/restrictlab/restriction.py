@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,9 +25,9 @@ from .fourier import Signal2D, _idft_matrix, dft, dft_array, lp_norm
 from .parabola import (
     ParabolaSet,
     _extension_kernel,
+    _items_per_piece,
     _pair_sum_energy,
     build_parabola,
-    coefficient_vector,
     energy_constant,
     energy_exact,
     extend_from,
@@ -141,12 +141,9 @@ def _power_sums(values: np.ndarray, *rs: float) -> list[np.ndarray]:
     return sums
 
 
-_GRID_CHUNK_BYTES = 1 << 20  # complex grids per scoring chunk: restriction_quantities peaks near 2 MB
-
-
 def _chunk_grids(n: int) -> int:
-    """Grids of one scoring chunk at modulus N: about _GRID_CHUNK_BYTES of them, at least one."""
-    return max(1, _GRID_CHUNK_BYTES // (16 * n * n))
+    """Complex (N, N) grids of one scoring chunk: one piece of them; restriction_quantities peaks near two."""
+    return _items_per_piece(16 * n * n)
 
 
 def restriction_quantities(
@@ -196,40 +193,36 @@ def restriction_quantities(
 
 
 def _labeled_chunks(
-    labeled: Iterable[tuple[str, np.ndarray]], step: int, shape: tuple[int, ...]
+    labeled: Iterable[tuple[str, np.ndarray]], shape: tuple[int, ...]
 ) -> Iterator[tuple[list[str], np.ndarray]]:
-    """(labels, stack) for consecutive chunks of step labeled complex arrays of one shape, in their order.
+    """(labels, stack) for consecutive chunks of labeled complex arrays of one shape, in their order.
 
-    Every chunk is written into one reused (step, *shape) buffer, the last
-    chunk into its leading rows, so a chunk is valid only until the next
-    one is drawn.  ValueError for an array of another shape.
+    A chunk is one piece of such arrays (_items_per_piece).  Every chunk is
+    written into one reused buffer, the last chunk into its leading rows,
+    so a chunk is valid only until the next one is drawn.  ValueError for
+    an array of another shape.
     """
-    buf = np.empty((step, *shape), dtype=np.complex128)
+    buf = np.empty((_items_per_piece(16 * math.prod(shape)), *shape), dtype=np.complex128)
     labels: list[str] = []
     for label, member in labeled:
         if np.shape(member) != shape:
             raise ValueError(f"expected shape {shape}, got {np.shape(member)} for {label!r}")
         buf[len(labels)] = member
         labels.append(label)
-        if len(labels) == step:
+        if len(labels) == len(buf):
             yield labels, buf
             labels = []
     if labels:
         yield labels, buf[: len(labels)]
 
 
-def _check_finite(chunk: np.ndarray) -> None:
-    if not np.all(np.isfinite(chunk.view(np.float64))):
-        raise ValueError("values must be finite")
-
-
 def restriction_bytes(ring: RingContext) -> int:
     """Peak bytes of scoring test signals a chunk at a time at modulus N (restrict-verify, sharpness).
 
-    With B = _chunk_grids(N) and a grid of 16 N^2 bytes: the chunk buffer
-    and the transform's two products (3 B grids); the grid being built, W
-    and conj(W), and a family's index arrays (5 grids); and each chunk
-    grid's label and floats (under 256 bytes a grid).  _power_sums holds
+    With B = _chunk_grids(N), one piece of grids, and a grid of 16 N^2
+    bytes: the chunk buffer and the transform's two products (3 B grids);
+    the grid being built, W and conj(W), and a family's index arrays (5
+    grids); and each chunk grid's label and floats (under 256 bytes a grid).  _power_sums holds
     |f| (8 N^2 a grid), its mask (N^2), the zero array, and the nonzero
     cells' values and their powers (under 8 N^2 each): under two grids a
     grid, after the transform's products are freed.  From N = 182 on a
@@ -264,6 +257,29 @@ def _report(
     )
 
 
+def _scored(
+    sigma: ParabolaSet,
+    labeled: Iterable[tuple[str, np.ndarray]],
+    shape: tuple[int, ...],
+    norms: Callable[..., tuple[np.ndarray, np.ndarray]],
+    params: RestrictionParams,
+) -> Iterator[RestrictionReport]:
+    """The report of each labeled member of one shape, in order, scored a chunk of members at a time.
+
+    The one report loop of every check, a lone member being a chunk of one.
+    A chunk must be finite; norms(ring, chunk, sigma, s, r) gives its (lhs,
+    rhs) arrays: restriction_quantities for (N, N) signal grids,
+    _extension_norms for (N,) coefficient rows.
+    """
+    ring = sigma.ring
+    for labels, chunk in _labeled_chunks(labeled, shape):
+        if not np.all(np.isfinite(chunk.view(np.float64))):
+            raise ValueError("values must be finite")
+        lhs, rhs = norms(ring, chunk, sigma, params.s, params.r)
+        for label, lhs_i, rhs_i in zip(labels, lhs.tolist(), rhs.tolist()):
+            yield _report(ring, params, lhs_i, rhs_i, label)
+
+
 def verify_restriction(
     f: Signal2D,
     sigma: ParabolaSet | None = None,
@@ -271,8 +287,7 @@ def verify_restriction(
     witness_kind: str = "",
 ) -> RestrictionReport:
     """Evaluate lhs, rhs, and ratio for any exponent pair; no squarefree gate."""
-    lhs, rhs = restriction_quantities(f.ring, f.values, sigma, params.s, params.r)
-    return _report(f.ring, params, float(lhs), float(rhs), witness_kind)
+    return next(verify_signals(_parabola_over(f.ring, sigma), [(witness_kind, f.values)], params))
 
 
 def verify_main_theorem(
@@ -281,8 +296,7 @@ def verify_main_theorem(
     witness_kind: str = "",
 ) -> RestrictionReport:
     """Check the certified (s, r) = (2, 4/3) estimate; squarefree moduli only."""
-    params = RestrictionParams(s=2.0, r=4.0 / 3.0, constant=certified_constant(f.ring))
-    return verify_restriction(f, sigma, params, witness_kind)
+    return next(verify_signals(_parabola_over(f.ring, sigma), [(witness_kind, f.values)]))
 
 
 def verify_signals(
@@ -292,21 +306,15 @@ def verify_signals(
 ) -> Iterator[RestrictionReport]:
     """The report of each labeled (N, N) signal grid, in order, scored a chunk of grids at a time.
 
-    Each report equals verify_restriction(Signal2D(ring, grid), sigma,
-    params, label) bit for bit, or verify_main_theorem's when params is
-    None; restriction_quantities gives a grid the same bits in any chunk.
-    The grids are copied into one reused chunk of _chunk_grids(N), so the
-    iterable may yield each from a buffer it reuses.
+    params None checks the certified (2, 4/3) estimate (squarefree N only).
+    verify_restriction and verify_main_theorem return the report of a
+    stream of one; restriction_quantities gives a grid the same bits in any
+    chunk.  The grids are copied into one reused chunk of _chunk_grids(N),
+    so the iterable may yield each from a buffer it reuses.
     """
-    ring = sigma.ring
     if params is None:
-        params = RestrictionParams(s=2.0, r=4.0 / 3.0, constant=certified_constant(ring))
-    n = ring.modulus
-    for labels, grids in _labeled_chunks(labeled, _chunk_grids(n), (n, n)):
-        _check_finite(grids)
-        lhs, rhs = restriction_quantities(ring, grids, sigma, params.s, params.r)
-        for label, lhs_i, rhs_i in zip(labels, lhs.tolist(), rhs.tolist()):
-            yield _report(ring, params, lhs_i, rhs_i, label)
+        params = RestrictionParams(s=2.0, r=4.0 / 3.0, constant=certified_constant(sigma.ring))
+    return _scored(sigma, labeled, (sigma.ring.modulus,) * 2, restriction_quantities, params)
 
 
 @dataclass(frozen=True)
@@ -388,19 +396,6 @@ def _extension_norms(
     return norm(p), norm(q)
 
 
-def _verify_extension(
-    coefficients: Sequence[complex] | np.ndarray,
-    sigma: ParabolaSet,
-    params: RestrictionParams,
-    witness_kind: str,
-) -> RestrictionReport:
-    """Normalized L^s over L^r of one extension, checked against params.constant."""
-    ring = sigma.ring
-    c = coefficient_vector(sigma, coefficients)
-    lhs, rhs = _extension_norms(ring, c, sigma, params.s, params.r)
-    return _report(ring, params, float(lhs), float(rhs), witness_kind)
-
-
 def verify_dual(
     coefficients: Sequence[complex] | np.ndarray,
     sigma: ParabolaSet,
@@ -410,9 +405,9 @@ def verify_dual(
 
     For f = extend_from(c):  ||f||_4 <= 2^(omega/4) * N^(-1/2) * ||f||_2 in
     counting norms, which is the same ratio as normalized L^4 over L^2.
+    The one report of verify_duals on c alone.
     """
-    params = RestrictionParams(s=4.0, r=2.0, constant=certified_constant(sigma.ring))
-    return _verify_extension(coefficients, sigma, params, witness_kind)
+    return next(verify_duals(sigma, [(witness_kind, coefficients)]))
 
 
 def verify_duals(
@@ -420,20 +415,13 @@ def verify_duals(
 ) -> Iterator[RestrictionReport]:
     """verify_dual's report of each labeled coefficient vector, in order, scored a chunk of rows at a time.
 
-    A chunk holds _GRID_CHUNK_BYTES of (N,) rows, and _pair_sum_energy runs
-    its own chunks of rows below that.  A report equals verify_dual's on its
-    vector alone bit for bit wherever _extension_norms gives a row the same
-    bits in any batch: not at N = 2, nor where a class group of the pair
-    sums passes 4,096 classes (N = 97 and some moduli above).
+    A chunk is one piece of (N,) rows, and _pair_sum_energy runs its own
+    pieces of rows below that.  A report equals verify_dual's on its vector
+    alone bit for bit wherever _extension_norms gives a row the same bits in
+    any batch: everywhere but N = 2 (_pair_sum_energy).
     """
-    ring = sigma.ring
-    params = RestrictionParams(s=4.0, r=2.0, constant=certified_constant(ring))
-    n = ring.modulus
-    for labels, rows in _labeled_chunks(labeled, max(1, _GRID_CHUNK_BYTES // (16 * n)), (n,)):
-        _check_finite(rows)
-        lhs, rhs = _extension_norms(ring, rows, sigma, params.s, params.r)
-        for label, lhs_i, rhs_i in zip(labels, lhs.tolist(), rhs.tolist()):
-            yield _report(ring, params, lhs_i, rhs_i, label)
+    params = RestrictionParams(s=4.0, r=2.0, constant=certified_constant(sigma.ring))
+    return _scored(sigma, labeled, (sigma.ring.modulus,), _extension_norms, params)
 
 
 def dual_ratios(ring: RingContext, coefficients: np.ndarray, sigma: ParabolaSet | None = None) -> np.ndarray:
@@ -454,7 +442,7 @@ def verify_l1_l2(
     K is the dual L^4 constant; the exponent q/(q-2) equals 2 at q = 4.
     """
     params = RestrictionParams(s=2.0, r=1.0, constant=certified_constant(sigma.ring) ** 2)
-    return _verify_extension(coefficients, sigma, params, witness_kind)
+    return next(_scored(sigma, [(witness_kind, coefficients)], (sigma.ring.modulus,), _extension_norms, params))
 
 
 @dataclass(frozen=True)
@@ -604,7 +592,6 @@ def _margins(gram: np.ndarray) -> np.ndarray:
 _SCREEN_PROBE = 64  # Grams solved first to set the screening level
 _SCREEN_SLACK = 1e-12  # covers rounding in eigvalsh (and in the first-stage bound)
 _POWER_SLACK = 16 * np.finfo(float).eps  # times N^2 ||G||_F^4: rounding in the G^4 bound
-_SLICE_BYTES = 1 << 20  # bytes of Grams per second-stage slice; small slices stay in cache
 
 
 def _frobenius2(m: np.ndarray) -> np.ndarray:
@@ -678,8 +665,8 @@ def _top_eigenvalue(gram: np.ndarray, k: int, level: float = -math.inf) -> float
     against the largest lambda_max of the chunks before it and solves no
     probes.  A Gram whose bound plus slack is below the level cannot exceed
     it.  The other first-stage survivors go to the fourth-power bound in
-    slices of at most _SLICE_BYTES of Grams, and only its survivors are
-    solved.  So the result is the unscreened maximum bit for bit, not an
+    slices of one piece of Grams (_items_per_piece), and only its survivors
+    are solved.  So the result is the unscreened maximum bit for bit, not an
     estimate.
     """
     n = gram.shape[1]
@@ -693,7 +680,7 @@ def _top_eigenvalue(gram: np.ndarray, k: int, level: float = -math.inf) -> float
     alive[solved] = False
     alive = np.flatnonzero(alive)
     keep = np.zeros(alive.size, dtype=bool)
-    step = max(1, _SLICE_BYTES // gram[0].nbytes)
+    step = _items_per_piece(gram[0].nbytes)
     for i in range(0, alive.size, step):
         s = alive[i : i + step]
         keep[i : i + step] = _fourth_power_bound(gram[s], phi2[s]) + _SCREEN_SLACK >= level
@@ -900,7 +887,7 @@ def sharpness_probe(ring: RingContext, *, trials: int = 200, seed: int = 0) -> P
     n = ring.modulus
     exponents = (4.0 / 3.0, 6.0 / 5.0)
     best: list[RestrictionReport | None] = [None, None]
-    for labels, grids in _labeled_chunks(_probe_candidates(ring, trials, seed), _chunk_grids(n), (n, n)):
+    for labels, grids in _labeled_chunks(_probe_candidates(ring, trials, seed), (n, n)):
         lhs, *rhs = restriction_quantities(ring, grids, sigma, 2.0, *exponents)
         lhs = lhs.tolist()
         for i, r in enumerate(exponents):

@@ -15,6 +15,7 @@ from restrictlab.parabola import _pair_classes, build_parabola
 from restrictlab.restriction import RestrictionParams, verify_dual, verify_main_theorem, verify_restriction
 from restrictlab.rng import spawn_rng
 from restrictlab.zmod import make_ring
+from test_restriction import _unchunked_quantities
 
 WALLTIME = re.compile(r"walltime_s=[0-9.]+")
 
@@ -606,19 +607,27 @@ def test_chunked_verify_rows_equal_one_member_at_a_time(tmp_path, monkeypatch, n
     # restrict-verify (at 4/3 and 6/5) and dual-verify score their members a
     # chunk at a time; each report, CSV and JSON, equals byte for byte the one
     # built from verify_main_theorem, verify_restriction or verify_dual on
-    # each member alone.  22 members at the default chunk (5 grids at
-    # N = 105) and at chunks of 3 grids (3 N coefficient rows) leave a
-    # partial last chunk.
+    # each member alone, a chunk of one.  22 members at the default chunk
+    # (5 grids at N = 105) and at chunks of 3 grids (3 N coefficient rows)
+    # leave a partial last chunk.  The restriction side's lhs and rhs also
+    # equal, bit for bit, the dense expressions on each grid alone.
     out = tmp_path / "x.txt"
     commands = (["restrict-verify"], ["restrict-verify", "--r", "6/5"], ["dual-verify"])
+    ring = make_ring(n)
+    sigma = build_parabola(ring)
+    grids_in = [(label, v.copy()) for label, v in structured_values(ring, 22, spawn_rng(5, n))]
     for grids in (None, 3):
         if grids is not None:
-            monkeypatch.setattr(restriction, "_GRID_CHUNK_BYTES", grids * 16 * n * n)
+            monkeypatch.setattr(parabola, "_PIECE_BYTES", grids * 16 * n * n)
         for command in commands:
             for fmt in ("csv", "json"):
                 argv = command + ["--n", str(n), "--trials", "22", "--seed", "5", "--format", fmt]
                 assert main(argv + ["--output", str(out)]) == 0
                 assert normalized(out) == _one_member_at_a_time(argv, n, 5), (grids, argv)
+        for r in (4.0 / 3.0, 6.0 / 5.0):
+            reports = restriction.verify_signals(sigma, grids_in, RestrictionParams(s=2.0, r=r))
+            for (label, v), report in zip(grids_in, reports, strict=True):
+                assert (report.lhs, report.rhs) == _unchunked_quantities(n, v, sigma, 2.0, r), (grids, r, label)
 
 
 def test_numpy_bools_format_as_python_bools():

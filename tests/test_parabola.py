@@ -253,12 +253,12 @@ def test_pair_sum_estimate_covers_one_chunk():
     # The class tables' build, then one chunk of rows through the L^4 and
     # L^2 norms: at small N within what tracemalloc sees numpy allocate, up
     # to a few kB of per-call objects, with the table cache cold.
-    assert pair_sum_bytes(make_ring(105)) == 56 * 5565 + 3 * parabola._PAIR_CHUNK_BYTES
+    assert pair_sum_bytes(make_ring(105)) == 56 * 5565 + 3 * parabola._PIECE_BYTES
     assert pair_sum_bytes(make_ring(20001)) == 104 * (20001 * 20002 // 2)
     for n in (101, 202, 243, 388, 1001):
         ring = make_ring(n)
         sigma = build_parabola(ring)
-        rows = max(1, parabola._PAIR_CHUNK_BYTES // (8 * n * (n + 1)))
+        rows = max(1, parabola._PIECE_BYTES // (8 * n * (n + 1)))
         coeffs = spawn_rng(40, n).standard_normal((rows, n)) + 1j
         parabola._pair_classes.cache_clear()
         tracemalloc.start()
@@ -279,6 +279,36 @@ def test_subset_point_off_curve_rejected():
     sigma = build_parabola(make_ring(7))
     with pytest.raises(ValueError):
         energy_exact(sigma, [(1, 2)])
+
+
+def test_subset_items_are_integer_indices_or_two_integer_points():
+    # integers (0-d integer arrays too) and points of exactly two integers;
+    # a float is not truncated, and a point of three coordinates is refused
+    sigma = build_parabola(make_ring(7))
+    want = energy_exact(sigma, [1, 2, 4])
+    assert energy_exact(sigma, [np.array(1), np.int64(2), np.array([4, 2])]) == want
+    assert energy_exact(sigma, [(1, 1), [2, 4], 11]) == want
+    for bad in ([(1, 1, 1)], [3.7], [np.array([1, 2, 3])], [np.array(3.0)], [(1.0, 1.0)], [(1,)], ["ab"]):
+        with pytest.raises(ValueError, match="integer index or a point of two integers"):
+            energy_exact(sigma, bad)
+
+
+def test_pair_sum_rows_have_the_same_bits_in_a_batch_as_alone():
+    # einsum sums a batch row of more than np.getbufsize() values in pieces
+    # but a lone row in one pass, so a size group of more classes than half
+    # that is summed a row at a time.  43 squarefree N up to 210 have such a
+    # group (97 the first); N = 2, whose one-pair product skips the fused
+    # multiply-add of the vector loop, is the documented exception.
+    large = 0
+    for n in range(3, 211):
+        if not make_ring(n).squarefree:
+            continue
+        rng = spawn_rng(45, n)
+        rows = rng.standard_normal((24, n)) + 1j * rng.standard_normal((24, n))
+        alone = np.concatenate([parabola._pair_sum_energy(n, row[None]) for row in rows])
+        assert np.array_equal(parabola._pair_sum_energy(n, rows), alone), n
+        large += max(left.shape[1] for left, _ in parabola._pair_classes(n)) > np.getbufsize() // 2
+    assert large == 43
 
 
 def test_exp_sum_matches_direct_sum():

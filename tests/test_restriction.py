@@ -33,10 +33,10 @@ from restrictlab.restriction import (
     verify_signals,
     zone_edge,
 )
-from restrictlab import restriction
+from restrictlab import parabola, restriction
+from restrictlab.parabola import _PIECE_BYTES
 from restrictlab.restriction import (
     _CHUNK_BYTES,
-    _GRID_CHUNK_BYTES,
     _SCREEN_PROBE,
     _SCREEN_SLACK,
     _extension_norms,
@@ -344,7 +344,7 @@ def test_restriction_lhs_matches_dense_transform_bit_for_bit(n):
     sigma = build_parabola(ring)
     w = _dft_matrix(n)
     rng = spawn_rng(39, n)
-    step = _GRID_CHUNK_BYTES // (16 * n * n)
+    step = _PIECE_BYTES // (16 * n * n)
     for shape in ((n, n), (5, n, n), (2 * step + 3, n, n)):
         vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         want = [
@@ -367,7 +367,7 @@ def _unchunked_quantities(n, grid, sigma, s=2.0, r=4.0 / 3.0):
     "n, lead",
     [
         (105, (250,)),  # the benchmark's N = 105 batch
-        (105, (51 * (_GRID_CHUNK_BYTES // (16 * 105 * 105)) + 1,)),  # the last chunk holds one grid
+        (105, (51 * (_PIECE_BYTES // (16 * 105 * 105)) + 1,)),  # the last chunk holds one grid
         (35, (10, 25)),
         (6, (3, 700)),  # a chunk boundary inside the leading axes
     ],
@@ -476,7 +476,7 @@ def test_batched_quantities_hold_a_few_chunks(n, batch):
     restriction_quantities(ring, values, sigma)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert peak <= 3 * _GRID_CHUNK_BYTES + 16 * batch
+    assert peak <= 3 * _PIECE_BYTES + 16 * batch
 
 
 def test_uncertainty_bytes_covers_one_search():
@@ -1058,19 +1058,38 @@ def test_probe_picks_what_scoring_every_candidate_picks():
     assert ties > 0
 
 
+def _verdict(v):
+    return v.found, v.method, v.supports_checked, v.min_margin
+
+
 def test_probe_pick_does_not_depend_on_the_chunk_size(monkeypatch):
-    # with chunks of 1 and of 3 grids the probe still picks the eager
-    # reference's first maximum, also where a later tie sits in another chunk
+    # With pieces of 1 and of 3 grids the probe still picks the eager
+    # reference's first maximum, also where a later tie sits in another
+    # chunk.  The same pieces (1 row, or 4 or 5 rows, at N >= 3; at N = 2 a
+    # lone row's one-pair product can round differently) leave dual_ratios
+    # rows bit for bit, and 1-Gram slices of the fourth-power screen leave each
+    # uncertainty verdict, supports_checked and min_margin as they were.
+    default = parabola._PIECE_BYTES
+    searches = {6: (4, 8), 15: (56, 4)}
     straddled = {1: 0, 3: 0}
     for n in range(2, 31):
+        monkeypatch.setattr(parabola, "_PIECE_BYTES", default)
         ring = make_ring(n)
+        sigma = build_parabola(ring)
+        coeffs = spawn_rng(47, n).standard_normal((12, n)) + 1j
+        ratios = dual_ratios(ring, coeffs, sigma)
+        verdicts = [_verdict(uncertainty_search(sigma, k, samples=500, seed=1)) for k in searches.get(n, ())]
         for seed in (0, 3):
             want, first, tied = _first_maxima(_eager_probe(ring, 24, seed))
             for grids in (1, 3):
-                monkeypatch.setattr(restriction, "_GRID_CHUNK_BYTES", grids * 16 * n * n)
+                monkeypatch.setattr(parabola, "_PIECE_BYTES", grids * 16 * n * n)
                 assert restriction._chunk_grids(n) == grids
                 assert sharpness_probe(ring, trials=24, seed=seed).best == want, (n, seed, grids)
                 straddled[grids] += sum(i // grids != f // grids for f, later in zip(first, tied) for i in later)
+                if n > 2:
+                    assert np.array_equal(dual_ratios(ring, coeffs, sigma), ratios), (n, grids)
+        monkeypatch.setattr(parabola, "_PIECE_BYTES", 16 * n * n)  # one Gram per slice
+        assert [_verdict(uncertainty_search(sigma, k, samples=500, seed=1)) for k in searches.get(n, ())] == verdicts
     assert straddled[1] > 0 and straddled[3] > 0
 
 
