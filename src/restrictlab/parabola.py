@@ -220,7 +220,7 @@ def _prime_power_energy(p: int, k: int) -> tuple[int, int]:
     return q * ((k + 1) * q - k * (q // p)), half if k % 2 == 0 else 2 * half
 
 
-_PIECE_BYTES = 1 << 20  # one piece of a batch (grids or rows scored together, Gram slices, pair products); small pieces stay in cache
+_PIECE_BYTES = 1 << 20  # one piece of a batch: scored grids or rows, Gram slices, pair products; stays in cache
 
 
 def _items_per_piece(item_bytes: int) -> int:
