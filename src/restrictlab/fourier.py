@@ -13,6 +13,7 @@ form is the row-major flattening of that grid.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any
@@ -115,8 +116,8 @@ def idft(spectrum: Spectrum2D) -> Signal2D:
 
 
 def _lp(f: Any, p: float, reduce) -> float:
-    if not p >= 1:  # NaN fails too
-        raise ValueError(f"p must be >= 1, got {p}")
+    if not 1 <= p < math.inf:  # NaN fails too; x**inf then **(1/inf) is no sup norm
+        raise ValueError(f"p must be >= 1 and finite, got {p}")
     a = np.abs(f.values if hasattr(f, "values") else np.asarray(f))
     return float(reduce(a**p) ** (1.0 / p))
 

@@ -2,12 +2,14 @@
 
 Exponential sums over it, exact additive energy of its subsets with the
 paper's bound 2^omega (energy_constant), and its restriction / extension maps.
-The full parabola's energy and largest pair-sum class are closed forms in the
-factorization of N; a subset's are counted from its pair sums.
+The full parabola's energy, its largest pair-sum class and the peak of its
+exponential sums are closed forms in the factorization of N; a subset's
+energy is counted from its pair sums.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -101,31 +103,56 @@ def _gauss_magnitudes(q: int) -> np.ndarray:
     return np.abs(w @ w[np.arange(q) ** 2 % q])
 
 
-def decay_bytes(ring: RingContext) -> int:
-    """Peak bytes decay_profile allocates at modulus N.
+def decay_peak(ring: RingContext) -> tuple[float, float, tuple[int, int]]:
+    """(max |S(m)| over m != (0, 0), that maximum / sqrt(N), its row-major first m), in closed form.
 
-    The (N, N) magnitudes, one tiled factor and the masked copy (24 N^2)
-    with its tie mask (N^2), plus, at the largest prime power q || N, W_q,
-    its gathered t^2 rows and their product (48 q^2).
+    With p the smallest prime factor of N: for even N the maximum is N,
+    reached only at (N/2, N/2), with ratio sqrt(N); for odd N it is
+    N / sqrt(p), reached first at (0, N/p), with ratio sqrt(N/p).  Each
+    value is the square root of an integer; no grid is built.
+
+    Proof.  By CRT |S_N(m)|^2 = prod_{q || N} |S_q(m mod q)|^2, as in
+    decay_profile.  The values below depend only on p-adic valuations, which
+    the unit u_q there does not change.
+    - Odd q = p^e: let j = v_p(b), with j = e at b = 0.  Then
+      |S_q(a, b)|^2 = p^(e+j) if p^j | a, and 0 otherwise: it is p^j times a
+      Gauss sum mod p^(e-j) whose quadratic coefficient is a unit.  Over
+      m != 0 mod q the largest value is q^2 / p, reached exactly where
+      p^(e-1) | a and v_p(b) = e - 1.
+    - q = 2^e: let j = v_2(b) < e and k = e - j.  S_q(a, b) is 0 unless
+      2^j | a, and then 2^j times a sum mod 2^k with an odd quadratic
+      coefficient.  That sum has |.|^2 = 2^(k+1) when its linear coefficient
+      is even (k >= 2), 4 when it is odd (k = 1), and 0 otherwise.  So
+      |S_q|^2 = q^2 only at (0, 0) and (q/2, q/2), and every other cell is
+      at most q^2 / 2.
+    Every factor is at most q^2, and m != 0 is nonzero mod some q, whose
+    factor is then q^2 only at (q/2, q/2) for q = 2^e, and at most q^2 / p
+    for odd q.  So for even N the peak is N^2, only at (N/2, N/2).  For odd
+    N it is N^2 / p for the smallest p, where m = 0 mod N/p^e and the
+    p-component is as above; the first such point in row-major order is
+    (0, N/p).  N = 35 gives 7 sqrt(5), ratio sqrt(7), at (0, 7).
     """
     n = ring.modulus
-    q = max(p**e for p, e in ring.prime_factors)
-    return 25 * n * n + 48 * q * q
+    p = ring.prime_factors[0][0]
+    if p == 2:
+        return float(n), math.sqrt(n), (n // 2, n // 2)
+    return math.sqrt(n * (n // p)), math.sqrt(n // p), (0, n // p)
 
 
 def decay_profile(sigma: ParabolaSet) -> DecayProfile:
-    """|S(m)| over all N^2 - 1 nontrivial frequencies, per prime power, then multiplied.
+    """|S(m)| over the full N x N frequency grid, per prime power, then multiplied; the peak from decay_peak.
 
     With W[a, b] = exp(-2 pi i a b / N), S(m) = sum_t W[m1, t] W[t^2, m2], so
-    one product W @ W[t^2 rows] gives the whole profile at modulus N.  By CRT
+    one product W @ W[t^2 rows] gives the whole grid at modulus N.  By CRT
     the sum factors over the prime powers q || N: S_N(m) = prod_q S_q(u_q m)
     with u_q = (N/q)^-1 mod q.  The unit u_q drops out of the magnitude:
     |S_q(m)|^2 is an integer, and the Galois map that raises exp(2 pi i / q)
     to the power u_q fixes integers and sends it to |S_q(u_q m)|^2.  So |S_N|
     is the product of the q x q grids |S_q| tiled over the N x N grid.  A
-    prime power is its own grid, with the bits of the product at N.  For
-    prime N the worst ratio |S(m)|/sqrt(N) is 1; composite squarefree N
-    exceeds it.
+    prime power is its own grid, with the bits of the product at N.  The
+    maximum, its ratio and its witness are decay_peak's exact values, not
+    read off the grid: for prime N the worst ratio |S(m)|/sqrt(N) is 1, and
+    composite N exceeds it.
     """
     n = sigma.ring.modulus
     mags = None
@@ -133,18 +160,13 @@ def decay_profile(sigma: ParabolaSet) -> DecayProfile:
         q = p**e
         factor = np.tile(_gauss_magnitudes(q), (n // q, n // q))
         mags = factor if mags is None else np.multiply(mags, factor, out=mags)
-    masked = mags.copy()
-    masked[0, 0] = -1.0
-    max_mag = float(masked.max())
-    # Ties happen for exact symmetry reasons; take the row-major smallest
-    # frequency among them so the witness does not depend on rounding noise.
-    flat = int(np.argmax(masked >= max_mag * (1.0 - 1e-12)))
-    witness = (flat // n, flat % n)
+        del factor  # else it lives on while the next prime power's tile is built
+    max_magnitude, max_ratio, witness = decay_peak(sigma.ring)
     return DecayProfile(
         n=n,
         magnitudes=mags,
-        max_magnitude=max_mag,
-        max_ratio=max_mag / float(np.sqrt(n)),
+        max_magnitude=max_magnitude,
+        max_ratio=max_ratio,
         witness=witness,
     )
 

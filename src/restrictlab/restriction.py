@@ -49,8 +49,8 @@ class RestrictionParams:
     constant: float | None = None
 
     def __post_init__(self) -> None:
-        if not (1.0 <= self.r <= self.s):
-            raise ValueError(f"need 1 <= r <= s, got r={self.r}, s={self.s}")
+        if not (1.0 <= self.r <= self.s < math.inf):
+            raise ValueError(f"need 1 <= r <= s < inf, got r={self.r}, s={self.s}")
 
 
 @dataclass(frozen=True)
@@ -84,10 +84,10 @@ def zone_edge(ring: RingContext) -> int:
 
 
 def _check_exponents(**exponents: float) -> None:
-    """ValueError unless every named exponent is at least 1."""
+    """ValueError unless every named exponent is finite and at least 1."""
     for name, e in exponents.items():
-        if not e >= 1:
-            raise ValueError(f"{name} must be >= 1, got {e}")
+        if not 1 <= e < math.inf:
+            raise ValueError(f"{name} must be >= 1 and finite, got {e}")
 
 
 def restriction_lhs(spectrum, sigma: ParabolaSet, s: float = 2.0) -> float:

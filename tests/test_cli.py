@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -276,12 +277,13 @@ def test_recover_refuses_an_oversized_signal_file_before_parsing(tmp_path, capsy
 def test_memory_budget_is_a_usage_error(tmp_path, capsys, monkeypatch):
     # Estimates only: nothing is allocated before the check refuses.
     out = str(tmp_path / "x.csv")
-    assert main(["decay", "--n", "20000", "--output", out]) == 2
-    assert main(["decay", "--n", "2..5", "20000", "--output", out]) == 2
+    assert main(["sharpness", "--n", "20000", "--trials", "1", "--output", out]) == 2
+    assert main(["sharpness", "--n", "2..5", "20000", "--trials", "1", "--output", out]) == 2
     assert main(["dual-verify", "--n", "20001", "--output", out]) == 2  # squarefree, so the budget refuses it
     errors = capsys.readouterr().err.splitlines()
     assert len(errors) == 3 and all("MB budget" in line for line in errors)
-    assert "N=20000" in errors[0] and "dual-verify at N=20001" in errors[2]
+    assert "sharpness at N=20000" in errors[0] and "sharpness at N=20000" in errors[1]
+    assert "dual-verify at N=20001" in errors[2]
     # The full parabola's energy is a closed form: no budget applies to it.
     p = 10007
     assert main(["energy", "--n", str(p), "--output", out]) == 0
@@ -289,9 +291,9 @@ def test_memory_budget_is_a_usage_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "MEMORY_BUDGET", 0)
     assert main(["energy", "--n", "3", "4", "15", str(p), "--output", out]) == 0
     assert [row[5] for row in rows_of(tmp_path / "x.csv")[1]] == ["2", "4", "4", "2"]
-    monkeypatch.setattr(cli, "MEMORY_BUDGET", cli.decay_bytes(make_ring(15)))
-    assert main(["decay", "--n", "15", "--output", out]) == 0
-    assert main(["decay", "--n", "16", "--output", out]) == 2
+    # decay's peak is a closed form too: it holds no grid at any modulus.
+    assert main(["decay", "--n", "15", "16", "20000", "--output", out]) == 0
+    assert [row[5:] for row in rows_of(tmp_path / "x.csv")[1]] == [["0", "5"], ["8", "8"], ["10000", "10000"]]
     monkeypatch.setattr(cli, "MEMORY_BUDGET", cli.pair_sum_bytes(make_ring(15)))
     assert main(["dual-verify", "--n", "15", "--trials", "3", "--output", out]) == 0
     assert main(["dual-verify", "--n", "21", "--trials", "3", "--output", out]) == 2
@@ -398,17 +400,27 @@ def test_commands_keep_one_modulus_of_tables(tmp_path, argv):
 
 
 @pytest.mark.parametrize("moduli", [["300..420"], ["1364", "1365"]])
-def test_decay_peak_within_the_largest_estimate(tmp_path, moduli):
-    # decay keeps no |S_q| table between calls, and no modulus's (N, N)
-    # magnitudes outlive it: held through 1365, those of 1364 (15 MB) would
-    # overrun the estimate.  1 MB covers the CLI's own objects (parser, rows,
-    # report text), which tracemalloc puts at 0.15-0.4 MB.
-    rings = [make_ring(n) for n in cli._parse_int_tokens(moduli, "--n")]
+def test_decay_peak_is_under_one_megabyte(tmp_path, moduli):
+    # decay builds no grid and no |S_q| table: a modulus costs a few integer
+    # operations.  1 MB covers the CLI's own objects (parser, rows, report
+    # text), which tracemalloc puts at 0.15-0.4 MB; one (N, N) float grid at
+    # N = 1364 would take 15 MB.
     tracemalloc.start()
     assert main(["decay", "--n", *moduli, "--output", str(tmp_path / "x.csv")]) == 0
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert peak <= max(parabola.decay_bytes(ring) for ring in rings) + (1 << 20)
+    assert peak <= 1 << 20
+
+
+def test_decay_reports_the_closed_form_at_any_modulus(tmp_path):
+    # The largest prime under MAX_MODULUS: factoring it is the whole cost.
+    out = tmp_path / "x.csv"
+    started = time.perf_counter()
+    assert main(["decay", "--n", "999999999989", "--output", str(out)]) == 0
+    assert time.perf_counter() - started < 1.0
+    assert rows_of(out)[1] == [["999999999989", "1", "true", "999999.999994", "1", "0", "1"]]
+    assert main(["decay", "--n", "20000", "--output", str(out)]) == 0
+    assert rows_of(out)[1] == [["20000", "2", "false", "20000", "141.421356237", "10000", "10000"]]
 
 
 def test_uncertainty_csv(tmp_path):

@@ -1,6 +1,7 @@
 """Transform pairs on (Z/NZ)^2 checked against a direct double-sum oracle."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -196,9 +197,11 @@ def test_norms():
     assert np.isclose(normalized_lp_norm(f, 1), 1.0)
     with pytest.raises(ValueError):
         lp_norm(f, 0.5)
-    for norm in (lp_norm, normalized_lp_norm):  # a NaN exponent fails every comparison
-        with pytest.raises(ValueError, match="p must be >= 1"):
-            norm(f, float("nan"))
+    # a NaN exponent fails every comparison; an infinite one gave 1.0, not the sup norm
+    for norm in (lp_norm, normalized_lp_norm):
+        for p in (float("nan"), math.inf, -math.inf):
+            with pytest.raises(ValueError, match="p must be >= 1 and finite"):
+                norm(f, p)
 
 
 def test_flat_input_accepted():

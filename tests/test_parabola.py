@@ -11,7 +11,7 @@ from restrictlab import parabola
 from restrictlab.fourier import Signal2D, _dft_matrix, dft, lp_norm
 from restrictlab.parabola import (
     build_parabola,
-    decay_bytes,
+    decay_peak,
     decay_profile,
     energy_exact,
     exp_sum,
@@ -164,20 +164,21 @@ def test_squarefree_energy_density_is_product_of_kappas():
 
 
 def test_resource_estimates_follow_the_prime_powers():
-    # decay holds N x N grids, and W_q products at the largest prime power q.
-    assert decay_bytes(make_ring(35)) == 25 * 35 * 35 + 48 * 7 * 7
-    assert decay_bytes(make_ring(20000)) == 25 * 20000 * 20000 + 48 * 625 * 625
-    # At small N the estimate covers what tracemalloc sees numpy allocate,
-    # up to a few kB of per-call objects, with the DFT matrix cache cold.
+    # decay_profile holds the (N, N) magnitudes and one tiled factor
+    # (16 N^2) with np.tile's (N, q) intermediate (8 N q), plus, at the
+    # largest prime power q || N, W_q, its gathered t^2 rows and their
+    # product (48 q^2): what tracemalloc sees numpy allocate, up to a few kB
+    # of per-call objects, with the DFT matrix cache cold.
     for n in (101, 202, 243, 388, 1001):
         ring = make_ring(n)
         sigma = build_parabola(ring)
+        q = max(p**e for p, e in ring.prime_factors)
         _dft_matrix.cache_clear()
         tracemalloc.start()
         decay_profile(sigma)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert peak <= decay_bytes(ring) + 16_384, n
+        assert peak <= 16 * n * n + 8 * n * q + 48 * q * q + 16_384, n
 
 
 def prime_powers(limit):
@@ -413,20 +414,35 @@ def test_decay_matches_gauss_sum_oracle():
 
 
 def test_decay_profile_matches_direct_product():
-    # The factored profile against the one product |W @ W[t^2 rows]| at N,
-    # for every N including non-squarefree composites such as 12, 72, 200.
-    for n in range(2, 201):
+    # The factored profile, and decay_peak's closed form, against the one
+    # product |W @ W[t^2 rows]| at N and its peak under a 1e-12 tie rule, for
+    # every N including non-squarefree composites such as 12, 72, 200, and
+    # at the prime powers 243, 256, 343 and 512.
+    for n in [*range(2, 301), 243, 256, 343, 512]:
         w = _dft_matrix(n)
         direct = np.abs(w @ w[np.arange(n) ** 2 % n])
-        profile = decay_profile(build_parabola(make_ring(n)))
+        ring = make_ring(n)
+        profile = decay_profile(build_parabola(ring))
         assert np.max(np.abs(profile.magnitudes - direct)) <= 1e-12 * n, n
         masked = direct.copy()
         masked[0, 0] = -1.0
         top = masked.max()
         flat = int(np.argmax(masked >= top * (1.0 - 1e-12)))
-        assert profile.witness == (flat // n, flat % n), n
-        if len(make_ring(n).prime_factors) == 1:
+        magnitude, ratio, witness = decay_peak(ring)
+        assert witness == (flat // n, flat % n), n
+        assert math.isclose(magnitude, top, rel_tol=1e-12), n
+        assert math.isclose(ratio, top / math.sqrt(n), rel_tol=1e-12), n
+        assert (profile.max_magnitude, profile.max_ratio, profile.witness) == (magnitude, ratio, witness), n
+        if len(ring.prime_factors) == 1:
             assert np.array_equal(profile.magnitudes, direct), n
+
+
+@pytest.mark.parametrize("n", [2, 12, 64, 100, 3, 35, 45, 243, 385])
+def test_exp_sum_at_the_peak_witness_reaches_the_peak(n):
+    # even N peak at (N/2, N/2), odd N at (0, N/p)
+    sigma = build_parabola(make_ring(n))
+    magnitude, _, witness = decay_peak(sigma.ring)
+    assert math.isclose(abs(exp_sum(sigma, witness)), magnitude, rel_tol=1e-12)
 
 
 def test_decay_matches_brute_force_scan():

@@ -140,15 +140,24 @@ def test_params_validation():
         RestrictionParams(s=2.0, r=2.5)
     with pytest.raises(ValueError):
         RestrictionParams(s=2.0, r=0.9)
+    for s, r in ((math.inf, math.inf), (math.inf, 2.0), (2.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="^need 1 <= r <= s < inf"):
+            RestrictionParams(s=s, r=r)
     # the kernels check their own exponents: s = 0 or r = 0 divided by zero,
     # and r = -1 returned an rhs
     ring = make_ring(15)
     ones = np.ones((15, 15))
-    for s, r, name in ((0.0, 4.0 / 3.0, "s"), (2.0, 0.0, "r"), (2.0, -1.0, "r"), (0.5, 1.0, "s")):
-        with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
+    # and an infinite exponent returned x**inf ** (1/inf), not the sup norm
+    cases = [(0.0, 4.0 / 3.0, "s"), (2.0, 0.0, "r"), (2.0, -1.0, "r"), (0.5, 1.0, "s")]
+    cases += [(2.0, math.inf, "r"), (2.0, -math.inf, "r"), (math.inf, 2.0, "s"), (-math.inf, 2.0, "s")]
+    for s, r, name in cases:
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1 and finite"):
             restriction_quantities(ring, ones, s=s, r=r)
-    with pytest.raises(ValueError, match="^s must be >= 1"):
-        restriction_lhs(dft(Signal2D(ring, ones)), build_parabola(ring), s=0.0)
+    with pytest.raises(ValueError, match="^r must be >= 1 and finite"):
+        restriction_quantities(ring, ones, None, 2.0, 4.0 / 3.0, math.inf)
+    for s in (0.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="^s must be >= 1 and finite"):
+            restriction_lhs(dft(Signal2D(ring, ones)), build_parabola(ring), s=s)
 
 
 @pytest.mark.parametrize("n", [6, 10, 15, 21, 35])
