@@ -23,13 +23,17 @@ import numpy as np
 from .zmod import RingContext, make_ring
 
 
+def _root_table(n: int) -> np.ndarray:
+    """exp(-2 pi i k / n) for k = 0..n-1: row 1 of W, and every entry of W is one of them."""
+    return np.exp(-2j * np.pi * np.arange(n) / n)
+
+
 @lru_cache(maxsize=1)  # one modulus at a time; a rebuild costs little beside the products that read W
 def _dft_matrix(n: int) -> np.ndarray:
-    # W[a, b] = exp(-2 pi i a b / n), built from a length-n root table
-    # looked up at (a*b) mod n so algebraically equal products match exactly
-    roots = np.exp(-2j * np.pi * np.arange(n) / n)
+    # W[a, b] = exp(-2 pi i a b / n), the root table looked up at (a*b) mod n
+    # so algebraically equal products match exactly
     r = np.arange(n)
-    w = roots[np.outer(r, r) % n]
+    w = _root_table(n)[np.outer(r, r) % n]
     w.setflags(write=False)
     return w
 

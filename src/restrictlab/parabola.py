@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fourier import Signal2D, Spectrum2D, _dft_matrix, _idft_matrix, _scaled
+from .fourier import Signal2D, Spectrum2D, _dft_matrix, _idft_matrix, _root_table, _scaled
 from .zmod import RingContext
 
 
@@ -88,11 +88,11 @@ class DecayProfile:
 
 
 def exp_sum(sigma: ParabolaSet, m: tuple[int, int]) -> complex:
-    """S(m) = sum_t exp(-2 pi i (m1 t + m2 t^2) / N)."""
+    """S(m) = sum_t exp(-2 pi i (m1 t + m2 t^2) / N), read from the (N,) root table: O(N) memory."""
     n = sigma.ring.modulus
     m1, m2 = int(m[0]) % n, int(m[1]) % n
     phases = (m1 * sigma.rows + m2 * sigma.cols) % n
-    return complex(_dft_matrix(n)[1, phases].sum())
+    return complex(_root_table(n)[phases].sum())
 
 
 def _gauss_magnitudes(q: int) -> np.ndarray:

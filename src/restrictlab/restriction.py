@@ -16,12 +16,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .families import sparse_values, stride_box_values
-from .fourier import Signal2D, _idft_matrix, dft, dft_array, lp_norm
+from .fourier import Signal2D, _dft_matrix, _idft_matrix, _scaled, dft, lp_norm
 from .parabola import (
     ParabolaSet,
     _extension_kernel,
@@ -133,7 +134,8 @@ def _power_sums(values: np.ndarray, *rs: float) -> list[np.ndarray]:
     if nonzero.all():
         return [(a**r).sum(axis=(-2, -1)) for r in rs]
     cells = a[nonzero]
-    powered = np.zeros_like(a)
+    del a  # so |f| and the zero array are never held at once
+    powered = np.zeros_like(nonzero, dtype=np.float64)
     sums = []
     for r in rs:
         powered[nonzero] = cells**r
@@ -142,8 +144,26 @@ def _power_sums(values: np.ndarray, *rs: float) -> list[np.ndarray]:
 
 
 def _chunk_grids(n: int) -> int:
-    """Complex (N, N) grids of one scoring chunk: one piece of them; restriction_quantities peaks near two."""
+    """Complex (N, N) grids of one scoring chunk: one piece; restriction_quantities' temporaries stay under two."""
     return _items_per_piece(16 * n * n)
+
+
+@lru_cache(maxsize=1)  # one modulus at a time, like the DFT matrices
+def _square_columns(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(W[:, Q], cells): the columns of W that the parabola reads, and where it reads the product.
+
+    Q is the sorted distinct squares t^2 mod N, so the transform's value at
+    (t, t^2) is U[t, j] with U = W X W[:, Q] and Q[j] = t^2; cells[t] is that
+    (t, j) flattened row-major.  |Q| = prod (p + 1) / 2 over the primes of
+    an odd squarefree N (24 of 105 at N = 105).  W[:, Q] is a contiguous
+    (N, |Q|) copy; both arrays are read-only.
+    """
+    squares, slot = np.unique(np.arange(n) ** 2 % n, return_inverse=True)
+    columns = np.ascontiguousarray(_dft_matrix(n)[:, squares])
+    cells = np.arange(n) * squares.size + slot
+    columns.setflags(write=False)
+    cells.setflags(write=False)
+    return columns, cells
 
 
 def restriction_quantities(
@@ -162,6 +182,15 @@ def restriction_quantities(
     |f| and one zero mask (_power_sums) and equals, bit for bit, the rhs of
     a call with that exponent alone.
 
+    The transform is read only where the parabola reads it: the N values
+    (t, t^2) of W X W / N are cells of W X W[:, Q] / N, Q the |Q| distinct
+    squares mod N (_square_columns), so a grid costs 2 N^2 |Q| multiply-adds,
+    not the 2 N^3 of the dense transform, and a chunk of B grids makes two
+    products of B N |Q| values.  The 1/N is _scaled's real multiply on the N
+    values read.  A product over a subset of W's columns may round
+    differently from the dense one: lhs is within about an ulp of the dense
+    transform's reading, not equal to it bit for bit.
+
     The grids are flattened to (B, N, N), a lone grid to (1, N, N), and run
     in consecutive chunks of _chunk_grids(N) whole grids, so the transform's
     temporaries stay a few chunks in size whatever B is.  Each grid's
@@ -178,13 +207,16 @@ def restriction_quantities(
     if values.shape[-2:] != (n, n):
         raise ValueError(f"expected trailing axes ({n}, {n}), got shape {values.shape}")
     grids = values.reshape(-1, n, n)
+    w, (columns, cells) = _dft_matrix(n), _square_columns(n)
     means: list[float] = []
     sums: list[list[float]] = [[] for _ in rs]
     step = _chunk_grids(n)
     for i in range(0, len(grids), step):
         chunk = grids[i : i + step]
+        product = np.matmul(w, np.matmul(chunk, columns)).reshape(len(chunk), -1)
         # a C-contiguous (B, N) copy, so that each row sums pairwise, as a lone grid's mean does
-        on_parab = np.ascontiguousarray(dft_array(n, chunk)[:, sigma.rows, sigma.cols])
+        on_parab = _scaled(np.take(product, cells, axis=1), n)
+        del product  # else it lives on through _power_sums and the next chunk's products
         means += ((np.abs(on_parab) ** s).sum(axis=-1) / n).tolist()
         for kept, chunk_sums in zip(sums, _power_sums(chunk, *rs)):
             kept += chunk_sums.tolist()
@@ -220,13 +252,16 @@ def restriction_bytes(ring: RingContext) -> int:
     """Peak bytes of scoring test signals a chunk at a time at modulus N (restrict-verify, sharpness).
 
     With B = _chunk_grids(N), one piece of grids, and a grid of 16 N^2
-    bytes: the chunk buffer and the transform's two products (3 B grids);
-    the grid being built, W and conj(W), and a family's index arrays (5
-    grids); and each chunk grid's label and floats (under 256 bytes a grid).  _power_sums holds
-    |f| (8 N^2 a grid), its mask (N^2), the zero array, and the nonzero
-    cells' values and their powers (under 8 N^2 each): under two grids a
-    grid, after the transform's products are freed.  From N = 182 on a
-    chunk is one grid, and this is 8 grids and 256 bytes.
+    bytes: the chunk buffer and the transform's two products (3 B grids,
+    kept from the dense transform: each product holds B N |Q| values, and
+    |Q| <= (N + 2) / 2, since t and -t share a square, so the two
+    take about B grids); the grid being built, W, W[:, Q] and conj(W), and a
+    family's index arrays (5 grids); and each chunk grid's label and floats
+    (under 256 bytes a grid).  _power_sums holds |f| (8 N^2 a grid), its
+    mask (N^2), the zero array, and the nonzero cells' values and their
+    powers (under 8 N^2 each), |f| freed before the zero array is made:
+    under two grids a grid, after the transform's products are freed.  From
+    N = 182 on a chunk is one grid, and this is 8 grids and 256 bytes.
     """
     n = ring.modulus
     b = _chunk_grids(n)

@@ -13,10 +13,16 @@ from restrictlab.cli import main
 from restrictlab.families import structured_coefficients, structured_values
 from restrictlab.fourier import Signal2D, _dft_matrix, _idft_matrix, signal_to_json
 from restrictlab.parabola import _pair_classes, build_parabola
-from restrictlab.restriction import RestrictionParams, verify_dual, verify_main_theorem, verify_restriction
+from restrictlab.restriction import (
+    RestrictionParams,
+    _square_columns,
+    verify_dual,
+    verify_main_theorem,
+    verify_restriction,
+)
 from restrictlab.rng import spawn_rng
 from restrictlab.zmod import make_ring
-from test_restriction import _unchunked_quantities
+from test_restriction import _assert_near_dense, _unchunked_quantities
 
 WALLTIME = re.compile(r"walltime_s=[0-9.]+")
 
@@ -393,9 +399,9 @@ def test_commands_keep_one_modulus_of_tables(tmp_path, argv):
     # Each modulus passes the memory check alone, so a list of moduli must
     # not keep the earlier moduli's tables cached, whatever was cached before.
     for n in (2, 3):
-        _dft_matrix(n), _idft_matrix(n), _pair_classes(n)
+        _dft_matrix(n), _idft_matrix(n), _pair_classes(n), _square_columns(n)
     assert main(argv + ["--output", str(tmp_path / "x.csv")]) == 0
-    for cache in (_dft_matrix, _idft_matrix, _pair_classes):
+    for cache in (_dft_matrix, _idft_matrix, _pair_classes, _square_columns):
         assert cache.cache_info().currsize <= 1, cache
 
 
@@ -622,7 +628,8 @@ def test_chunked_verify_rows_equal_one_member_at_a_time(tmp_path, monkeypatch, n
     # each member alone, a chunk of one.  22 members at the default chunk
     # (5 grids at N = 105) and at chunks of 3 grids (3 N coefficient rows)
     # leave a partial last chunk.  The restriction side's lhs and rhs also
-    # equal, bit for bit, the dense expressions on each grid alone.
+    # equal, bit for bit, the kernel's expressions on each grid alone, and
+    # lhs is within 1e-14 of the dense transform's.
     out = tmp_path / "x.txt"
     commands = (["restrict-verify"], ["restrict-verify", "--r", "6/5"], ["dual-verify"])
     ring = make_ring(n)
@@ -638,8 +645,11 @@ def test_chunked_verify_rows_equal_one_member_at_a_time(tmp_path, monkeypatch, n
                 assert normalized(out) == _one_member_at_a_time(argv, n, 5), (grids, argv)
         for r in (4.0 / 3.0, 6.0 / 5.0):
             reports = restriction.verify_signals(sigma, grids_in, RestrictionParams(s=2.0, r=r))
+            lhs = []
             for (label, v), report in zip(grids_in, reports, strict=True):
                 assert (report.lhs, report.rhs) == _unchunked_quantities(n, v, sigma, 2.0, r), (grids, r, label)
+                lhs.append(report.lhs)
+            _assert_near_dense(n, lhs, [v for _, v in grids_in], sigma)
 
 
 def test_numpy_bools_format_as_python_bools():

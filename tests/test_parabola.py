@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from restrictlab import parabola
-from restrictlab.fourier import Signal2D, _dft_matrix, dft, lp_norm
+from restrictlab.fourier import Signal2D, _dft_matrix, _root_table, dft, lp_norm
 from restrictlab.parabola import (
     build_parabola,
     decay_peak,
@@ -322,6 +322,31 @@ def test_exp_sum_matches_direct_sum():
                 np.exp(-2j * np.pi * ((m1 * t + m2 * t * t) % n) / n) for t in range(n)
             )
             assert abs(exp_sum(sigma, (m1, m2)) - direct) < 1e-9
+
+
+def test_exp_sum_reads_row_one_of_the_dft_matrix_bit_for_bit():
+    # the (N,) root table is row 1 of W, so exp_sum keeps the bits of the
+    # sum it read from the cached (N, N) matrix, at every N <= 385
+    for n in range(2, 386):
+        sigma = build_parabola(make_ring(n))
+        row = _dft_matrix(n)[1]
+        assert np.array_equal(_root_table(n), row), n
+        rng = spawn_rng(25, n)
+        for m in [(0, 0), (1, 1), (0, n - 1), decay_peak(sigma.ring)[2], tuple(rng.integers(n, size=2))]:
+            phases = (m[0] * sigma.rows + m[1] * sigma.cols) % n
+            assert exp_sum(sigma, m) == complex(row[phases].sum()), (n, m)
+
+
+def test_exp_sum_memory_is_linear_in_n():
+    # a few (N,) arrays, the parabola's index arrays included: at N = 20001
+    # about 1.1 MB, where the (N, N) DFT matrix would take 6.4 GB
+    n = 20001
+    sigma = build_parabola(make_ring(n))
+    tracemalloc.start()
+    exp_sum(sigma, (3, 5))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 80 * n
 
 
 def test_exp_sum_at_zero_equals_curve_size():
