@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fourier import Signal2D, Spectrum2D, _dft_matrix, _idft_matrix, _root_table, _scaled
+from .fourier import Signal2D, Spectrum2D, _dft_matrix, _root_table, idft_array
 from .zmod import RingContext
 
 
@@ -97,8 +97,7 @@ def exp_sum(sigma: ParabolaSet, m: tuple[int, int]) -> complex:
 
 def _gauss_magnitudes(q: int) -> np.ndarray:
     """|S_q(a, b)| on the (q, q) grid: the one product |W @ W[t^2 rows]| mod q, built per call."""
-    # Its own product, not _extension_kernel's, whose scaling of the columns by c makes
-    # this one product about 1.5x slower; W from the uncached builder outlives no call.
+    # W from the uncached builder outlives no call.
     w = _dft_matrix.__wrapped__(q)
     return np.abs(w @ w[np.arange(q) ** 2 % q])
 
@@ -396,27 +395,14 @@ def coefficient_vector(
     return c
 
 
-def _extension_kernel(sigma: ParabolaSet, rows: np.ndarray) -> np.ndarray:
-    """N times the extension of each coefficient row of a (B, N) batch: (B, N, N).
-
-    N f[x1, x2] = sum_t conj(W)[x1, t] c(t) conj(W)[t^2, x2], so each row is
-    one N x N product (conj(W) * c) @ conj(W)[t^2 rows]: half the flops of
-    the 2-D inverse transform of c laid on the parabola, and no zero grid.
-    The 1/N is left to the caller, which can put it on fewer numbers.
-    """
-    wc = _idft_matrix(sigma.ring.modulus)
-    return np.matmul(wc[:, sigma.rows] * rows[:, None, :], wc[sigma.cols])
-
-
 def extend_from(sigma: ParabolaSet, coefficients: Sequence[complex] | np.ndarray) -> Signal2D:
     """The unique signal whose spectrum equals c on the parabola and 0 off it.
 
     This is the adjoint of restrict_to composed with the inverse transform:
     f(x) = (1/N) sum_t c(t) exp(+2 pi i <x, (t, t^2)> / N).
     """
-    n = sigma.ring.modulus
     c = coefficient_vector(sigma, coefficients)
-    return Signal2D(sigma.ring, _scaled(_extension_kernel(sigma, c[None])[0], n))
+    return Signal2D(sigma.ring, idft_array(sigma.ring.modulus, embed_coefficients(sigma, c)))
 
 
 def embed_coefficients(sigma: ParabolaSet, coefficients: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .families import sparse_values
-from .fourier import Signal2D, Spectrum2D, _dft_matrix, dft_array, idft_array
+from .fourier import Signal2D, Spectrum2D, _root_table, dft_array, idft_array
 from .parabola import ParabolaSet, build_parabola, energy_constant
 from .rng import spawn_rng
 from .zmod import RingContext
@@ -261,7 +261,7 @@ def least_squares_recover(problem: RecoveryProblem) -> RecoveryResult:
     n = ring.modulus
     x1, x2 = np.array(problem.support_hint).T
     m1, m2 = np.nonzero(problem.unobserved)
-    a = _dft_matrix(n)[1][(np.outer(m1, x1) + np.outer(m2, x2)) % n] / n
+    a = _root_table(n)[(np.outer(m1, x1) + np.outer(m2, x2)) % n] / n
     gram = np.eye(x1.size) - a.conj().T @ a
     rhs = idft_array(n, problem.observed.values)[x1, x2]
     coeffs, _, _, sv = np.linalg.lstsq(gram, rhs, rcond=None)

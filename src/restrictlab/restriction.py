@@ -22,13 +22,13 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .families import sparse_values, stride_box_values
-from .fourier import Signal2D, _dft_matrix, _idft_matrix, _scaled, dft, lp_norm
+from .fourier import Signal2D, _dft_matrix, _root_table, _scaled, dft, idft_array, lp_norm
 from .parabola import (
     ParabolaSet,
-    _extension_kernel,
     _items_per_piece,
     _pair_sum_energy,
     build_parabola,
+    embed_coefficients,
     energy_constant,
     energy_exact,
     extend_from,
@@ -405,8 +405,8 @@ def _extension_norms(
     parabola._pair_sum_energy.  Cauchy-Schwarz within each class m gives
     |b_m|^2 <= r(m) sum |c_t c_t'|^2, so sum_m |b_m|^2 <= max_rep ||c||_2^4,
     and max_rep <= 2^omega on squarefree N: the L^4 bound made visible.
-    Every other exponent (1, for verify_l1_l2) reads the grid from
-    parabola._extension_kernel.  Each row's sums run in a fixed order, so a
+    Every other exponent (1, for verify_l1_l2) reads the grid f, the inverse
+    transform of c laid on the parabola.  Each row's sums run in a fixed order, so a
     single row gets the same bits as that row inside a batch, except where
     _pair_sum_energy's rows move with the batch (its docstring).
     """
@@ -423,7 +423,7 @@ def _extension_norms(
             return _frobenius2(rows)
         if e == 4:
             return _pair_sum_energy(n, rows)
-        return (np.abs(_extension_kernel(sigma, rows)) ** e).mean(axis=(-2, -1))
+        return (np.abs(n * idft_array(n, embed_coefficients(sigma, rows))) ** e).mean(axis=(-2, -1))
 
     def norm(e: float) -> np.ndarray:
         return (power_mean(e) ** (1.0 / e) / n).reshape(c.shape[:-1])
@@ -540,7 +540,7 @@ class UncertaintyVerdict:
 def extension_matrix(sigma: ParabolaSet) -> np.ndarray:
     """N^2 x N matrix E with E[x, t] = (1/N) exp(+2 pi i <x, (t, t^2)> / N).
 
-    Entries are read from the inverse transform's root table at the phase
+    Entries are read from the conjugated root table at the phase
     <x, (t, t^2)> mod N.  Columns are orthonormal characters; extend_from(c)
     is E @ c laid on the grid.
     """
@@ -548,7 +548,7 @@ def extension_matrix(sigma: ParabolaSet) -> np.ndarray:
     x1 = np.repeat(np.arange(n), n)
     x2 = np.tile(np.arange(n), n)
     phase = (np.outer(x1, sigma.rows) + np.outer(x2, sigma.cols)) % n
-    return _idft_matrix(n)[1][phase] / n
+    return _root_table(n).conj()[phase] / n
 
 
 def _gram_products(ext: np.ndarray) -> np.ndarray:

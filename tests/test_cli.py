@@ -13,6 +13,7 @@ from restrictlab.cli import main
 from restrictlab.families import structured_coefficients, structured_values
 from restrictlab.fourier import Signal2D, _dft_matrix, _idft_matrix, signal_to_json
 from restrictlab.parabola import _pair_classes, build_parabola
+from restrictlab.recovery import LoganParams, logan_recover, random_instance, recovery_thresholds, threshold_sweep
 from restrictlab.restriction import (
     RestrictionParams,
     _square_columns,
@@ -450,6 +451,29 @@ def test_recover_random_instance(tmp_path):
     _, rows = rows_of(out)
     assert rows[0][6] == "true"
     assert rows[0][7] == "converged"
+
+
+def test_worst_case_draws_unimodular_amplitudes(tmp_path):
+    # recover's row is logan_recover on random_instance(..., unimodular=True)
+    # from the (seed, size, 0) stream; sweep's rows are threshold_sweep(...,
+    # unimodular=True); without the flag both reports differ
+    ring = make_ring(15)
+    problem = random_instance(ring, 5, spawn_rng(4, 5, 0), unimodular=True)
+    result = logan_recover(problem, LoganParams())
+    s_size = int(problem.unobserved.sum())
+    recover_row = [15, s_size, 5, *cli._fields(result, cli.SOLVER_COLUMNS), *recovery_thresholds(ring, s_size)]
+    sweep = threshold_sweep(ring, [2, 6], 3, 4, unimodular=True, params=LoganParams())
+    sweep_rows = [cli._fields(row, cli.SWEEP_COLUMNS) for row in sweep]
+    for argv, want in (
+        (["recover", "--sizes", "5"], [recover_row]),
+        (["sweep", "--sizes", "2", "6", "--trials", "3"], sweep_rows),
+    ):
+        flagged, plain = tmp_path / "flagged.csv", tmp_path / "plain.csv"
+        argv = argv + ["--n", "15", "--seed", "4"]
+        assert main(argv + ["--worst-case", "--output", str(flagged)]) == 0
+        assert main(argv + ["--output", str(plain)]) == 0
+        assert rows_of(flagged)[1] == [[cli._fmt_cell(v) for v in row] for row in want]
+        assert rows_of(plain)[1] != rows_of(flagged)[1]
 
 
 def test_recover_from_signal_file(tmp_path):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from restrictlab.fourier import (
     spectrum_from_json,
 )
 from restrictlab.parabola import build_parabola
+from restrictlab.recovery import least_squares_recover, random_instance
 from restrictlab.restriction import extension_matrix
 from restrictlab.rng import spawn_rng
 from restrictlab.zmod import make_ring
@@ -166,8 +168,8 @@ def _same_floats(got, want):
 
 @pytest.mark.parametrize("n", range(2, 61))
 def test_root_table_reads_match_exp_formulas_bit_for_bit(n):
-    # extension_matrix and character_values read the cached conj(W); every
-    # real and imaginary part must equal what their own np.exp formulas gave.
+    # extension_matrix and character_values read the conjugated root table;
+    # every real and imaginary part must equal what their own np.exp formulas gave.
     # Compared as floats, so the one difference left is the sign of a zero:
     # at phase 0 the table's imaginary part is -0.0, the formula's +0.0.
     # character_values is checked on every (m1, m2) up to N = 30.
@@ -186,6 +188,51 @@ def test_root_table_reads_match_exp_formulas_bit_for_bit(n):
         want = np.exp(2j * np.pi * ((m1 * g1 + m2 * g2) % n) / n)  # all m2 at once
         got = np.stack([character_values(ring, m1, b) for b in range(n)])
         assert _same_floats(got, want)
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("n", range(2, 61))
+def test_character_reads_keep_the_bits_of_row_one(n):
+    # extension_matrix, character_values and least_squares_recover's Gram read
+    # the (N,) root table, conjugated for the + sign, where they once read row
+    # 1 of the (N, N) conj(W) or W: every value keeps its bits, zero signs too.
+    # The Gram is compared through the least-squares solution it gives.
+    ring = make_ring(n)
+    sigma = build_parabola(ring)
+    x1 = np.repeat(np.arange(n), n)
+    x2 = np.tile(np.arange(n), n)
+    phase = (np.outer(x1, sigma.rows) + np.outer(x2, sigma.cols)) % n
+    assert _same_bits(extension_matrix(sigma), _idft_matrix(n)[1][phase] / n)
+    rng = spawn_rng(18, n)
+    g1, g2 = np.arange(n)[:, None], np.arange(n)[None, :]
+    for m1, m2 in [(0, 0), (1, 0), (0, 1), (n - 1, n - 1)] + rng.integers(n, size=(4, 2)).tolist():
+        assert _same_bits(character_values(ring, m1, m2), _idft_matrix(n)[1][(m1 * g1 + m2 * g2) % n])
+    problem = random_instance(ring, min(n, 6), rng)
+    s1, s2 = np.array(problem.support_hint).T
+    e1, e2 = np.nonzero(problem.unobserved)
+    a = _dft_matrix(n)[1][(np.outer(e1, s1) + np.outer(e2, s2)) % n] / n
+    gram = np.eye(s1.size) - a.conj().T @ a
+    rhs = idft_array(n, problem.observed.values)[s1, s2]
+    want = np.linalg.lstsq(gram, rhs, rcond=None)[0]
+    assert _same_bits(least_squares_recover(problem).recovered.values[s1, s2], want)
+
+
+def test_character_values_memory_is_one_grid_and_its_phases():
+    # the (N, N) phase index and the (N, N) complex grid, 24 bytes a cell, and
+    # no N x N root matrix: at N = 1001 the peak stays within 32 N^2 bytes
+    # (reading row 1 of a cold conj(W) peaked at 53.5 MB)
+    n = 1001
+    ring = make_ring(n)
+    _idft_matrix.cache_clear()
+    _dft_matrix.cache_clear()
+    tracemalloc.start()
+    character_values(ring, 3, 5)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 32 * n * n
 
 
 def test_norms():

@@ -287,23 +287,24 @@ def test_dual_wrapper_is_a_batch_of_one(n):
 
 
 def test_only_other_exponents_build_the_extension_grid(monkeypatch):
-    # L^2 and L^4 come from the coefficients; L^1 still reads the grid.
+    # L^2 and L^4 come from the coefficients; L^1 still reads the grid, the
+    # inverse transform of one embedded row.
     ring = make_ring(15)
     sigma = build_parabola(ring)
     calls = []
-    kernel = restriction._extension_kernel
+    inverse = restriction.idft_array
 
-    def counting(sigma, rows):
-        calls.append(rows.shape)
-        return kernel(sigma, rows)
+    def counting(n, values):
+        calls.append(values.shape)
+        return inverse(n, values)
 
-    monkeypatch.setattr(restriction, "_extension_kernel", counting)
+    monkeypatch.setattr(restriction, "idft_array", counting)
     coeffs = spawn_rng(39, 15).standard_normal((4, 15)) + 1j
     dual_ratios(ring, coeffs, sigma)
     verify_dual(coeffs[0], sigma)
     assert calls == []
     verify_l1_l2(coeffs[0], sigma)
-    assert calls == [(1, 15)]
+    assert calls == [(1, 15, 15)]
 
 
 def _extension_norms_by_inverse_transform(ring, coeffs, sigma, p, q):
@@ -316,10 +317,10 @@ def _extension_norms_by_inverse_transform(ring, coeffs, sigma, p, q):
     [n for n in range(2, 61) if make_ring(n).squarefree] + [105] + [4, 8, 9, 12, 18, 25, 27, 49, 50, 121],
 )
 def test_extension_kernel_matches_inverse_transform(n):
-    # The pair sums, Parseval and the N x N product per coefficient row give
-    # the norms of the embedded grid's inverse transform, for every batch
-    # shape and both exponent pairs; the non-squarefree moduli have pair
-    # classes of up to about p pairs.
+    # The pair sums (L^4), Parseval (L^2) and the grid read for L^1 give the
+    # norms of the embedded grid's inverse transform, for every batch shape
+    # and both exponent pairs; the non-squarefree moduli have pair classes of
+    # up to about p pairs.
     ring = make_ring(n)
     sigma = build_parabola(ring)
     rng = spawn_rng(38, n)
@@ -335,13 +336,10 @@ def test_extension_kernel_matches_inverse_transform(n):
     coeffs[1] = 0.0
     ratios = dual_ratios(ring, coeffs, sigma)
     assert ratios[1] == 0.0 and ratios[0] > 0.0 and ratios[2] > 0.0
-    # extend_from runs the same kernel: within 1e-13 of the largest value on
-    # a random row (single cells cancel), and the same bits on the constant
-    # and delta vectors that the trajectory pins use
-    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    want = idft_array(n, embed_coefficients(sigma, c))
-    assert np.abs(extend_from(sigma, c).values - want).max() <= 1e-13 * np.abs(want).max()
-    for c in [np.ones(n)] + list(np.eye(n)):
+    # extend_from is the inverse transform of the embedded row, bit for bit,
+    # on a random row and on the constant and delta vectors that the
+    # trajectory pins use
+    for c in [rng.standard_normal(n) + 1j * rng.standard_normal(n), np.ones(n)] + list(np.eye(n)):
         assert np.array_equal(extend_from(sigma, c).values, idft_array(n, embed_coefficients(sigma, c)))
 
 
