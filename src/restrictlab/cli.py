@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -42,8 +43,6 @@ from .restriction import (
 )
 from .rng import spawn_rng
 from .zmod import RingContext, make_ring
-
-GATED_COMMANDS = frozenset({"restrict-verify", "dual-verify", "certificate", "uncertainty"})
 
 VERIFY_COLUMNS = ("N", "omega", "squarefree", "r", "lhs", "rhs", "ratio", "constant", "satisfied", "witness_kind")
 
@@ -87,7 +86,7 @@ SIGNAL_FILE_PAIR_BYTES = 128
 
 
 class UsageError(Exception):
-    """Bad flags, bad values, or a modulus a gated command cannot accept."""
+    """Bad flags or values (exit 2); main maps a library ValueError, the squarefree gate's too, to exit 2."""
 
 
 def _parse_int_tokens(tokens: Sequence[str], flag: str) -> list[int]:
@@ -130,11 +129,6 @@ def _resolve_moduli(args: argparse.Namespace) -> list[RingContext]:
         rings = [ring for ring in rings if ring.squarefree]
         if not rings:
             raise UsageError("no squarefree moduli left after filtering")
-    square_factor = [ring.modulus for ring in rings if not ring.squarefree]
-    # restrict-verify --r 6/5 has no certified constant, so it takes any modulus
-    gated = args.command in GATED_COMMANDS and getattr(args, "r", "4/3") == "4/3"
-    if gated and square_factor:
-        raise UsageError(f"{args.command} requires squarefree moduli, got {square_factor[0]}")
     return rings
 
 
@@ -231,13 +225,13 @@ def _cmd_decay(args: argparse.Namespace, rings: list[RingContext]) -> Report:
 
 def _verify_reports(args: argparse.Namespace, rings: list[RingContext], family, verify) -> Report:
     """One row per labeled member of family(ring, trials, rng), in order, from verify(sigma, members)."""
+    # every stream is opened, and so passes verify's squarefree gate, before any report is drawn
+    streams = [verify(build_parabola(r), family(r, args.trials, spawn_rng(args.seed, r.modulus))) for r in rings]
     rows = []
     violated = False
-    for ring in rings:
-        members = family(ring, args.trials, spawn_rng(args.seed, ring.modulus))
-        for report in verify(build_parabola(ring), members):
-            rows.append(_fields(report, VERIFY_COLUMNS))
-            violated = violated or not report.satisfied
+    for report in itertools.chain.from_iterable(streams):
+        rows.append(_fields(report, VERIFY_COLUMNS))
+        violated = violated or not report.satisfied
     return VERIFY_COLUMNS, rows, violated
 
 
@@ -261,7 +255,8 @@ def _cmd_certificate(args: argparse.Namespace, rings: list[RingContext]) -> Repo
 
 def _cmd_uncertainty(args: argparse.Namespace, rings: list[RingContext]) -> Report:
     def max_support(ring: RingContext) -> int:
-        return zone_edge(ring) if args.max_support is None else args.max_support
+        edge = zone_edge(ring)  # the squarefree gate, so the memory pre-pass refuses before any search
+        return edge if args.max_support is None else args.max_support
 
     _check_memory(args, rings, lambda ring: uncertainty_bytes(ring, max_support(ring)))
     rows = []

@@ -70,8 +70,10 @@ def structured_values(
 
     Seven kinds, in this order: deltas, characters, contiguous boxes, stride
     boxes over divisors, sparse indicators, sparse Gaussian supports and
-    sparse unimodular supports.
+    sparse unimodular supports.  ValueError for count < 0.
     """
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     n = ring.modulus
     divisors = [d for d in range(1, n + 1) if n % d == 0]
     kinds = 7
@@ -106,7 +108,9 @@ def structured_values(
 def structured_coefficients(
     ring: RingContext, count: int, rng: np.random.Generator
 ) -> Iterator[tuple[str, np.ndarray]]:
-    """Labeled coefficient vectors (length N) for the dual-side fuzz."""
+    """Exactly count labeled coefficient vectors (length N) for the dual-side fuzz; ValueError for count < 0."""
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     n = ring.modulus
     kinds = 5
     for i in range(count):

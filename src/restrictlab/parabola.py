@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .fourier import Signal2D, Spectrum2D, _dft_matrix, _root_table, idft_array
-from .zmod import RingContext
+from .zmod import RingContext, as_int
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,9 +88,9 @@ class DecayProfile:
 
 
 def exp_sum(sigma: ParabolaSet, m: tuple[int, int]) -> complex:
-    """S(m) = sum_t exp(-2 pi i (m1 t + m2 t^2) / N), read from the (N,) root table: O(N) memory."""
+    """S(m) = sum_t exp(-2 pi i (m1 t + m2 t^2) / N) for integers m1, m2, from the (N,) root table: O(N) memory."""
     n = sigma.ring.modulus
-    m1, m2 = int(m[0]) % n, int(m[1]) % n
+    m1, m2 = as_int(m[0], "m1") % n, as_int(m[1], "m2") % n
     phases = (m1 * sigma.rows + m2 * sigma.cols) % n
     return complex(_root_table(n)[phases].sum())
 
@@ -382,26 +382,17 @@ def restrict_to(sigma: ParabolaSet, spectrum: Spectrum2D) -> np.ndarray:
     return spectrum.values[sigma.rows, sigma.cols].copy()
 
 
-def coefficient_vector(
-    sigma: ParabolaSet, coefficients: Sequence[complex] | np.ndarray
-) -> np.ndarray:
-    """One finite complex coefficient per parabola point; ValueError otherwise."""
-    n = sigma.ring.modulus
-    c = np.asarray(coefficients, dtype=np.complex128)
-    if c.shape != (n,):
-        raise ValueError(f"expected {n} coefficients, got shape {c.shape}")
-    if not np.all(np.isfinite(c.view(np.float64))):
-        raise ValueError("coefficients must be finite")
-    return c
-
-
 def extend_from(sigma: ParabolaSet, coefficients: Sequence[complex] | np.ndarray) -> Signal2D:
     """The unique signal whose spectrum equals c on the parabola and 0 off it.
 
     This is the adjoint of restrict_to composed with the inverse transform:
     f(x) = (1/N) sum_t c(t) exp(+2 pi i <x, (t, t^2)> / N).
     """
-    c = coefficient_vector(sigma, coefficients)
+    c = np.asarray(coefficients, dtype=np.complex128)
+    if c.shape != (len(sigma),):  # before embedding, which would transform a whole batch of rows
+        raise ValueError(f"expected {len(sigma)} coefficients, got shape {c.shape}")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("coefficients must be finite")
     return Signal2D(sigma.ring, idft_array(sigma.ring.modulus, embed_coefficients(sigma, c)))
 
 
@@ -409,7 +400,7 @@ def embed_coefficients(sigma: ParabolaSet, coefficients: np.ndarray) -> np.ndarr
     """Place one or a batch of coefficient vectors (..., N) on the frequency grid."""
     n = sigma.ring.modulus
     c = np.asarray(coefficients, dtype=np.complex128)
-    if c.shape[-1] != n:
+    if c.shape[-1:] != (n,):
         raise ValueError(f"expected trailing axis {n}, got shape {c.shape}")
     grid = np.zeros(c.shape[:-1] + (n, n), dtype=np.complex128)
     grid[..., sigma.rows, sigma.cols] = c

@@ -20,7 +20,7 @@ from .families import sparse_values
 from .fourier import Signal2D, Spectrum2D, _root_table, dft_array, idft_array
 from .parabola import ParabolaSet, build_parabola, energy_constant
 from .rng import spawn_rng
-from .zmod import RingContext
+from .zmod import RingContext, as_int
 
 # Douglas-Rachford step: the soft-threshold level of each shrink.
 STEP = 1.0
@@ -56,7 +56,7 @@ def _as_mask(ring: RingContext, unobserved) -> np.ndarray:
         return arr.copy()
     mask = np.zeros((n, n), dtype=bool)
     for m1, m2 in unobserved:
-        mask[int(m1) % n, int(m2) % n] = True
+        mask[as_int(m1, "frequency") % n, as_int(m2, "frequency") % n] = True
     return mask
 
 
@@ -93,7 +93,7 @@ def erase(
     *,
     support_hint: Sequence[tuple[int, int]] | None = None,
 ) -> RecoveryProblem:
-    """Transform f, delete the frequencies in S (default: the parabola)."""
+    """Transform f, delete the frequencies in S (default: the parabola); frequencies and hint cells are integers."""
     n = f.ring.modulus
     mask = _as_mask(f.ring, unobserved)
     spectrum = dft_array(n, f.values).copy()
@@ -102,7 +102,7 @@ def erase(
         ring=f.ring,
         unobserved=mask,
         observed=Spectrum2D(f.ring, spectrum),
-        support_hint=tuple((int(a), int(b)) for a, b in support_hint) if support_hint else None,
+        support_hint=tuple((as_int(a, "cell"), as_int(b, "cell")) for a, b in support_hint) if support_hint else None,
     )
     # f's spectrum is the observation off S by construction, so the truth is
     # attached after __post_init__ instead of being transformed again there.
@@ -135,7 +135,7 @@ class LoganParams:
     max_iterations: int = 20000
 
     def __post_init__(self) -> None:
-        if self.max_iterations < 1:
+        if as_int(self.max_iterations, "max_iterations") < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
 
@@ -336,11 +336,11 @@ def threshold_sweep(
 
     Each trial draws from its own (seed, size, trial)-keyed stream, so a
     size's row is the same whichever other sizes are swept with it.
-    trials = 0 yields no rows, once every size is checked.
+    trials = 0 yields no rows once every size, an integer in [1, N^2], is checked.
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
-    sizes = [int(e_size) for e_size in support_sizes]
+    sizes = [as_int(e_size, "support size") for e_size in support_sizes]
     for e_size in sizes:
         _check_support_size(ring.modulus, e_size)
     if trials == 0:

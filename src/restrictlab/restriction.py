@@ -565,7 +565,7 @@ def _gram_products(ext: np.ndarray) -> np.ndarray:
 _CHUNK_BYTES = 16 << 20  # per-chunk budget for the draw, the Grams and what builds them
 
 
-def _scan_plan(n: int, k: int, batch: int) -> tuple[int, bool]:
+def _scan_plan(n: int, k: int, batch: int | None) -> tuple[int, bool]:
     """(supports per chunk, whether one GEMM builds the Grams) for a scan of batch supports of size k.
 
     A support costs, in bytes: its row of float64 uniforms (8 N^2) and the
@@ -573,12 +573,12 @@ def _scan_plan(n: int, k: int, batch: int) -> tuple[int, bool]:
     (N^2), its (N, N) complex Gram (16 N^2), and what builds the Gram.  The
     one-GEMM build needs P = _gram_products(E) (16 N^4 bytes) and a float64
     indicator of each support (8 N^2); the gather it replaces, a (k, N)
-    complex row stack per support (16 k N).  The chunk is batch, capped so
-    its arrays fit in _CHUNK_BYTES at the GEMM's per-support cost; the GEMM
-    is picked when it then uses no more memory than the gather would.  Else
-    the chunk is capped at the gather's cost.  The GEMM only wins as the
-    chunk grows, so a chunk capped for the gather is never one the GEMM
-    would build.  The exhaustive path draws no uniforms, so its chunks are
+    complex row stack per support (16 k N).  The chunk is batch (None: no
+    cap), capped so its arrays fit in _CHUNK_BYTES at the GEMM's per-support
+    cost; the GEMM is picked when it then uses no more memory than the
+    gather would.  Else the chunk is capped at the gather's cost.  The GEMM
+    only wins as the chunk grows, so a chunk capped for the gather is never
+    one the GEMM would build.  The exhaustive path draws no uniforms, so its chunks are
     counted high.  _CHUNK_BYTES comes from a measured sweep of 8 to 64 MB,
     made while every chunk solved its own probe Grams; larger chunks stream
     more fresh memory.  The verdict does not depend on the chunk size: the
@@ -588,10 +588,11 @@ def _scan_plan(n: int, k: int, batch: int) -> tuple[int, bool]:
     the cap can switch the build.
     """
     common = 33 * n * n  # uniforms, partition copy, mask and Gram
-    chunk = max(1, min(batch, _CHUNK_BYTES // (common + 8 * n * n)))
+    cap = math.inf if batch is None else batch
+    chunk = max(1, min(cap, _CHUNK_BYTES // (common + 8 * n * n)))
     if 2 * n**4 + chunk * n * n <= 2 * chunk * k * n:
         return chunk, True
-    return max(1, min(batch, _CHUNK_BYTES // (common + 16 * k * n))), False
+    return max(1, min(cap, _CHUNK_BYTES // (common + 16 * k * n))), False
 
 
 def _grams(ext: np.ndarray, masks: np.ndarray, products: np.ndarray | None) -> np.ndarray:
@@ -772,7 +773,6 @@ def _exhaustive_supports(combos: Iterator[tuple[int, ...]], count: int, universe
 
 
 _EXHAUSTIVE_CAP = 2_500_000  # the scan is exhaustive when C(N^2, max_support) is at most this
-_SEARCH_BATCH = 100_000  # uncertainty_search's default cap on supports per chunk
 
 
 def uncertainty_bytes(ring: RingContext, max_support: int) -> int:
@@ -783,14 +783,14 @@ def uncertainty_bytes(ring: RingContext, max_support: int) -> int:
     _scan_plan picks the GEMM, P = _gram_products(E) adds 16 N^4 and the
     conj(E) that builds it 16 N^3.  A chunk's arrays take _CHUNK_BYTES, or
     one support's 41 N^2 + 16 k N when that is more (_scan_plan).  The
-    estimate adds these peaks.  The chunk is sized at _SEARCH_BATCH supports,
-    never fewer than the search uses, so the GEMM is counted whenever the
+    estimate adds these peaks.  The chunk is sized with no batch cap, never
+    fewer supports than the search uses, so the GEMM is counted whenever the
     search could pick it.  k is max_support clamped to [1, N^2], so a size
     outside the zone reaches the search's own check.
     """
     n = ring.modulus
     k = min(max(1, max_support), n * n)
-    products = 16 * n**4 + 16 * n**3 if _scan_plan(n, k, _SEARCH_BATCH)[1] else 0
+    products = 16 * n**4 + 16 * n**3 if _scan_plan(n, k, None)[1] else 0
     return 40 * n**3 + products + max(_CHUNK_BYTES, 41 * n * n + 16 * k * n)
 
 
@@ -800,7 +800,7 @@ def uncertainty_search(
     *,
     samples: int = 1_000_000,
     seed: int = 0,
-    batch: int = _SEARCH_BATCH,
+    batch: int | None = None,
 ) -> UncertaintyVerdict:
     """Look for a nonzero signal with spectrum on the parabola and small support.
 
@@ -819,8 +819,8 @@ def uncertainty_search(
     C(N^2, max_support) when nothing is found; on a find it counts only the
     representatives scanned so far.  The randomized path draws samples
     supports and rejects samples < 1: zero draws would decide nothing.
-    Supports go in chunks of at most batch (batch < 1 is rejected), fewer
-    where a chunk's arrays would pass _CHUNK_BYTES (_scan_plan).
+    Supports go in chunks of at most batch (None: no cap; batch < 1 is
+    rejected), fewer where a chunk's arrays would pass _CHUNK_BYTES.
     """
     ring = sigma.ring
     edge = zone_edge(ring)
@@ -828,7 +828,7 @@ def uncertainty_search(
     universe = n * n
     if not (1 <= max_support <= edge):
         raise ValueError(f"max_support must be in [1, {edge}], below N^2/2^omega, for N={n}, got {max_support}")
-    if batch < 1:
+    if batch is not None and batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
     ext = extension_matrix(sigma)
     total = math.comb(universe, max_support)
@@ -837,7 +837,7 @@ def uncertainty_search(
     if not exhaustive and samples < 1:
         raise ValueError(f"the randomized search needs samples >= 1, got {samples}")
     scanned = math.comb(universe - 1, max_support - 1) if exhaustive else samples
-    chunk, gemm = _scan_plan(n, max_support, min(batch, scanned))
+    chunk, gemm = _scan_plan(n, max_support, scanned if batch is None else min(batch, scanned))
     products = _gram_products(ext) if gemm else None
     if exhaustive:
         draw, source = _exhaustive_supports, itertools.combinations(range(1, universe), max_support - 1)

@@ -19,12 +19,17 @@ class RingContext:
     squarefree: bool
 
 
+def as_int(value, name: str) -> int:
+    """value as a Python int by operator.index, so 1.5 is refused, not truncated; ValueError naming it otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def make_ring(n: int) -> RingContext:
     """Factor n by trial division and build its ring context.  Rejects n < 2."""
-    try:
-        n = int(operator.index(n))
-    except TypeError:
-        raise ValueError(f"modulus must be an integer, got {n!r}") from None
+    n = as_int(n, "modulus")
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
     factors: list[tuple[int, int]] = []

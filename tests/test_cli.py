@@ -147,11 +147,47 @@ def test_sweep_with_no_size_left_is_a_usage_error(tmp_path, capsys):
     assert [row[:3] for row in rows_of(out)[1]] == [["15", "15", "10"]]
 
 
-def test_gated_commands_reject_square_factor(tmp_path):
+def test_gated_commands_reject_square_factor(tmp_path, capsys, monkeypatch):
     for command in ["restrict-verify", "dual-verify", "certificate", "uncertainty"]:
         assert main([command, "--n", "12", "--output", str(tmp_path / "x.csv")]) == 2
     for trials in ("0", "3"):  # the certified 4/3 check refuses before any signal is scored
         assert main(["restrict-verify", "--n", "9", "--trials", trials, "--r", "4/3"]) == 2
+    # restriction.certified_constant is the one gate, and every modulus
+    # passes it before any is scored or searched: --n sorts, so 12 comes
+    # before 15 and 18 after it.
+    calls = []
+
+    def count(module, name):
+        run = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(restriction, "restriction_quantities")
+    count(restriction, "_extension_norms")
+    count(cli, "uncertainty_search")
+    out = tmp_path / "f.csv"
+    commands = (
+        ["restrict-verify", "--r", "4/3", "--trials", "3"],
+        ["dual-verify", "--trials", "3"],
+        ["certificate"],
+        ["uncertainty", "--trials", "10"],
+        ["uncertainty", "--max-support", "4", "--trials", "10"],
+    )
+    capsys.readouterr()
+    for square in (12, 18):
+        for argv in commands:
+            assert main([*argv, "--n", "15", str(square), "--output", str(out)]) == 2, argv
+            assert capsys.readouterr().err == f"error: modulus {square} is not squarefree\n", argv
+            assert not out.exists(), argv
+    assert calls == []
+    # the counters see the work once 15 stands alone
+    for argv in commands:
+        assert main([*argv, "--n", "15", "--output", str(out)]) == 0, argv
+    assert calls == ["restriction_quantities", "_extension_norms", "uncertainty_search", "uncertainty_search"]
 
 
 @pytest.mark.parametrize("n", [9, 25])

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -324,6 +325,14 @@ def test_exp_sum_matches_direct_sum():
             assert abs(exp_sum(sigma, (m1, m2)) - direct) < 1e-9
 
 
+def test_exp_sum_refuses_a_non_integer_frequency():
+    sigma = build_parabola(make_ring(15))
+    for m, shown in (((1.5, 2), "1.5"), ((1, 2.5), "2.5"), ((np.float64(3.0), 2), "3.0")):
+        with pytest.raises(ValueError, match=f"must be an integer, got .*{shown}"):
+            exp_sum(sigma, m)
+    assert exp_sum(sigma, (np.int64(16), np.uint8(2))) == exp_sum(sigma, (1, 2))
+
+
 def test_exp_sum_reads_row_one_of_the_dft_matrix_bit_for_bit():
     # the (N,) root table is row 1 of W, so exp_sum keeps the bits of the
     # sum it read from the cached (N, N) matrix, at every N <= 385
@@ -540,6 +549,30 @@ def test_extend_rejects_bad_coefficients():
         extend_from(sigma, np.ones(5))
     with pytest.raises(ValueError):
         extend_from(sigma, np.array([np.nan] * 6))
+    # a batch of rows, a 0-d value and infinities: each a ValueError, before
+    # the transform could warn on an infinite product
+    bad = [np.ones((2, 6)), np.array(1.0), np.array([np.inf] + [1.0] * 5), np.array([-np.inf] * 6)]
+    for c in bad + [np.array([complex(1.0, -np.inf)] * 6)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                extend_from(sigma, c)
+    # a batch is refused before it is embedded: 10,000 grids would take 5.8 MB
+    rows = np.ones((10_000, 6))
+    tracemalloc.start()
+    with pytest.raises(ValueError, match="expected 6 coefficients"):
+        extend_from(sigma, rows)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 2 * rows.size * 16
+
+
+def test_extend_takes_a_strided_coefficient_view():
+    sigma = build_parabola(make_ring(6))
+    rng = spawn_rng(27, 6)
+    rows = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+    column = rows[:, 1]  # not contiguous
+    assert np.array_equal(extend_from(sigma, column).values, extend_from(sigma, column.copy()).values)
 
 
 def test_restrict_rejects_mismatched_modulus():

@@ -45,6 +45,19 @@ def test_erase_zeroes_the_parabola_rows():
     assert np.allclose(problem.observed.values[off], fhat[off], atol=0)
 
 
+def test_erase_refuses_non_integer_cells():
+    ring = make_ring(6)
+    f = Signal2D(ring, spawn_rng(42, 6).standard_normal((6, 6)))
+    with pytest.raises(ValueError, match="must be an integer, got 1.7"):
+        erase(f, unobserved=[(1.7, 2)])
+    with pytest.raises(ValueError, match="must be an integer, got 0.5"):
+        erase(f, support_hint=[(0.5, 1)])
+    # numpy integers mark the cells of the same Python integers
+    problem = erase(f, unobserved=[(np.int64(1), np.uint8(2))], support_hint=[(np.int32(0), np.int64(1))])
+    assert np.array_equal(problem.unobserved, erase(f, unobserved=[(1, 2)]).unobserved)
+    assert problem.support_hint == ((0, 1),)
+
+
 def test_erase_with_custom_mask():
     n = 6
     ring = make_ring(n)
@@ -184,6 +197,12 @@ def test_logan_params_reject_nonpositive_max_iterations():
             LoganParams(max_iterations=cap)
 
 
+def test_logan_params_refuse_a_non_integer_cap():
+    with pytest.raises(ValueError, match="max_iterations must be an integer, got 2.5"):
+        LoganParams(max_iterations=2.5)
+    assert LoganParams(max_iterations=np.int64(5)).max_iterations == 5
+
+
 def test_least_squares_needs_hint():
     n = 6
     ring = make_ring(n)
@@ -250,6 +269,13 @@ def test_sweep_empty_and_validation():
     for trials in (0, 1):  # the sizes are checked even when no trial runs
         with pytest.raises(ValueError):
             threshold_sweep(ring, [3, 0], trials=trials, seed=1)
+
+
+def test_sweep_refuses_a_non_integer_size():
+    ring = make_ring(15)
+    with pytest.raises(ValueError, match="support size must be an integer, got 2.7"):
+        threshold_sweep(ring, [2.7], 1, 0)
+    assert threshold_sweep(ring, [np.int64(2)], 1, 0) == threshold_sweep(ring, [2], 1, 0)
 
 
 def test_recover_bytes_covers_one_solve():

@@ -885,6 +885,32 @@ def test_margin_is_translation_invariant():
             assert np.allclose(both[:20], both[20:], rtol=0, atol=1e-12)
 
 
+def test_structured_families_refuse_a_negative_count():
+    ring = make_ring(15)
+    for family in (structured_values, structured_coefficients):
+        with pytest.raises(ValueError, match="count must be >= 0, got -1"):
+            list(family(ring, -1, spawn_rng(0, 15)))
+        assert list(family(ring, 0, spawn_rng(0, 15))) == []
+
+
+def test_old_search_batch_cap_never_binds():
+    # uncertainty_search once capped a chunk at 100,000 supports by default;
+    # for N >= 3 the _CHUNK_BYTES budget alone keeps every chunk at 48,629
+    # supports or fewer (N = 3, k = 1), and N = 2 has zone edge 1: its only
+    # scan is of one support.
+    assert zone_edge(make_ring(2)) == 1 and math.comb(2 * 2 - 1, 1 - 1) == 1
+    for n in range(2, 301):
+        ring = make_ring(n)
+        if not ring.squarefree:
+            continue
+        edge = zone_edge(ring)
+        for k in {1, 2, 3, edge // 2, edge} & set(range(1, edge + 1)):
+            capped, uncapped = _scan_plan(n, k, 100_000), _scan_plan(n, k, None)
+            assert capped[1] == uncapped[1], (n, k)  # uncertainty_bytes' GEMM pick
+            if n >= 3:
+                assert capped == uncapped and uncapped[0] <= 48_629, (n, k)
+
+
 def test_gram_by_gemm_choice():
     assert _scan_plan(6, 4, 6545)[1]  # N=6 exhaustive at size 4
     assert _scan_plan(6, 8, 50_000)[1]

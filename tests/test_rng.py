@@ -37,6 +37,15 @@ def test_negative_seed_rejected():
         spawn_rng(-1)
 
 
+def test_non_integer_seed_or_key_is_refused_not_truncated():
+    for key, shown in (((1.5,), "1.5"), ((1, 2.5), "2.5"), ((np.float64(1.0), 2), "1.0")):
+        with pytest.raises(ValueError, match=f"must be an integer, got .*{shown}"):
+            spawn_rng(*key)
+    # numpy integers address the stream of the same Python integers
+    a = spawn_rng(np.int64(3), np.int32(15), np.uint8(2)).standard_normal(8)
+    assert np.array_equal(a, spawn_rng(3, 15, 2).standard_normal(8))
+
+
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_transform_preserves_energy(seed):
